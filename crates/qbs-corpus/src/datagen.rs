@@ -213,29 +213,6 @@ pub fn populate_universe(seed: u64) -> Database {
     db
 }
 
-/// A page-load-sized universe: the same schemas as [`populate_universe`]
-/// at a fraction of the rows — one request's working set (the paper's
-/// Fig. 14 page loads fetch a handful of rows per call). Prepared-
-/// statement benchmarks execute these queries thousands of times, where
-/// the per-call parse+plan overhead, not raw scan time, is the story.
-pub fn populate_pageload(seed: u64) -> Database {
-    let mut db = Database::new();
-    populate_wilos_into(
-        &mut db,
-        &WilosConfig {
-            users: 8,
-            roles: 3,
-            projects: 6,
-            unfinished_fraction: 0.25,
-            assoc_per_parent: 1,
-            ..WilosConfig::default()
-        }
-        .with_seed(seed),
-    );
-    populate_itracker_into(&mut db, 6, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-    db
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,9 +18,7 @@ mod schema;
 mod workloads;
 
 pub use advanced::{advanced_idioms, AdvancedIdiom};
-pub use datagen::{
-    populate_itracker, populate_pageload, populate_universe, populate_wilos, WilosConfig,
-};
+pub use datagen::{populate_itracker, populate_universe, populate_wilos, WilosConfig};
 pub use fragments::{
     all_fragments, grouped_fragments, App, Category, CorpusFragment, ExpectedStatus,
 };

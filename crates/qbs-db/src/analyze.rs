@@ -163,8 +163,8 @@ impl AnalyzedPlan {
 
     /// Estimate-vs-actual pairs per cardinality-bearing node: the node's
     /// one-line label, the planner's estimate, and the observed row
-    /// count. This is what `BENCH_obs.json`'s error distribution is
-    /// computed over.
+    /// count. This is what the `explain_report` example's q-error
+    /// distribution is computed over.
     pub fn estimate_errors(&self) -> Vec<(String, usize, usize)> {
         let mut out = Vec::new();
         for (scan, a) in self.plan.scans.iter().zip(&self.actuals.scans) {

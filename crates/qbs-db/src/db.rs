@@ -590,9 +590,9 @@ impl Database {
     ///
     /// Pass the *same* configuration the plan was computed with: the
     /// config also governs how hoisted predicate sub-queries encountered
-    /// during interpretation are planned (e.g. a `force_nested_loop`
-    /// baseline plan executed under the default config would run its
-    /// `IN (SELECT …)` sub-queries with hash joins).
+    /// during interpretation are planned (e.g. a `reorder_joins` plan
+    /// executed under the default config would plan its `IN (SELECT …)`
+    /// sub-queries in `FROM` order).
     ///
     /// # Errors
     ///

@@ -35,21 +35,15 @@ pub struct PlanConfig {
     /// observable order (results compare as multisets), or the `ORDER BY`
     /// totally orders rows via every alias's `rowid`.
     pub reorder_joins: bool,
-    /// Force every join step onto the nested-loop algorithm. Benchmarks use
-    /// this to measure the hash-join/pushdown speedup against the
-    /// application-code baseline; never enable it for production execution.
-    pub force_nested_loop: bool,
     /// Force scans onto the row-at-a-time materialization path instead of
-    /// the vectorized columnar one. Benchmarks use this to measure the
-    /// columnar speedup; the equivalence suite uses it to prove both
-    /// executors observationally identical. Never enable it for
+    /// the vectorized columnar one. The equivalence suite uses it to prove
+    /// both executors observationally identical. Never enable it for
     /// production execution.
     pub force_row_store: bool,
     /// Force plan execution onto the tree-walking interpreter instead of
     /// the compiled bytecode VM. The equivalence suite uses this to prove
-    /// the VM observationally identical to the interpreter; the VM bench
-    /// uses it as the baseline side. Never enable it for production
-    /// execution.
+    /// the VM observationally identical to the interpreter. Never enable
+    /// it for production execution.
     pub force_interpreter: bool,
 }
 
@@ -698,7 +692,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             let mut both = joined.clone();
             both.insert(alias.clone());
             if used.is_subset(&both) && used.contains(&alias) {
-                if key.is_none() && !config.force_nested_loop {
+                if key.is_none() {
                     if let Some(k) = equi_join_keys(&c, &joined, &right_set) {
                         key = Some(k);
                         continue;

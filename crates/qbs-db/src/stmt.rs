@@ -75,7 +75,6 @@ pub(crate) fn fingerprint(canonical: &str, config: &PlanConfig) -> u64 {
     let mut h = DefaultHasher::new();
     canonical.hash(&mut h);
     config.reorder_joins.hash(&mut h);
-    config.force_nested_loop.hash(&mut h);
     config.force_row_store.hash(&mut h);
     config.force_interpreter.hash(&mut h);
     h.finish()

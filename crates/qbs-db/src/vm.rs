@@ -891,6 +891,25 @@ mod tests {
         }
     }
 
+    /// The per-run count of opcode `name`, read from the program's own
+    /// precomputed tally. The process-global `vm_metrics()` counters are
+    /// shared with every test thread that dispatches, so an exact delta
+    /// on them races; the program's count does not.
+    fn per_run(prog: &PlanProgram, name: &str) -> u64 {
+        let op = PlanOp::NAMES.iter().position(|n| *n == name).expect("known opcode");
+        prog.dispatch_counts.iter().find(|(i, _)| *i == op).map_or(0, |(_, n)| *n)
+    }
+
+    /// Runs `prog` once and checks the flush: the global counter for
+    /// `name` advances by at least the program's per-run count (other
+    /// test threads may add to it concurrently, never subtract).
+    fn assert_flushed(db: &Database, prog: &PlanProgram, name: &str) {
+        let counter = vm_metrics().counter(&format!("vm.dispatch.{name}"));
+        let before = counter.get();
+        let _ = run_program(db, prog, &Params::new());
+        assert!(counter.get() - before >= per_run(prog, name), "{name} dispatches flushed");
+    }
+
     #[test]
     fn aggregate_dispatch_counter_accumulates() {
         let db = setup();
@@ -898,10 +917,8 @@ mod tests {
         let q = parse_query("SELECT roleId, COUNT(*) FROM users GROUP BY roleId").unwrap();
         let plan = Arc::new(plan_with(&q, &db, &cfg));
         let prog = compile_plan(&plan, &cfg).expect("compiles");
-        let before = vm_metrics().counter("vm.dispatch.aggregate").get();
-        let _ = run_program(&db, &prog, &Params::new());
-        let after = vm_metrics().counter("vm.dispatch.aggregate").get();
-        assert_eq!(after - before, 1, "one aggregate dispatch per run");
+        assert_eq!(per_run(&prog, "aggregate"), 1, "one aggregate dispatch per run");
+        assert_flushed(&db, &prog, "aggregate");
     }
 
     #[test]
@@ -911,9 +928,7 @@ mod tests {
         let q = parse_query("SELECT id FROM users WHERE roleId = 1 ORDER BY id").unwrap();
         let plan = Arc::new(plan_with(&q, &db, &cfg));
         let prog = compile_plan(&plan, &cfg).expect("compiles");
-        let before = vm_metrics().counter("vm.dispatch.sort").get();
-        let _ = run_program(&db, &prog, &Params::new());
-        let after = vm_metrics().counter("vm.dispatch.sort").get();
-        assert_eq!(after - before, 1, "one sort dispatch per run");
+        assert_eq!(per_run(&prog, "sort"), 1, "one sort dispatch per run");
+        assert_flushed(&db, &prog, "sort");
     }
 }

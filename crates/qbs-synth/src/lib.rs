@@ -13,8 +13,7 @@
 //!   operator, later levels add operators and predicate conjuncts.
 //! * **Symmetries are broken** by construction: only translatable shapes are
 //!   generated (no nested `σ`, predicates in canonical atom order), which the
-//!   paper reports halves solving time; the `break_symmetries` switch exists
-//!   so the ablation benchmark can measure the difference.
+//!   paper reports halves solving time.
 //! * **Validation is CEGIS + proof**: candidates are screened against a
 //!   counterexample cache, bounded-checked, then certified by the symbolic
 //!   prover; candidates the prover cannot certify fall back to extended

@@ -22,10 +22,6 @@ pub struct SynthConfig {
     /// Maximum template complexity level (paper: most fragments need < 3
     /// iterations).
     pub max_level: usize,
-    /// Symmetry breaking (Sec. 4.5). Disabling it enlarges the candidate
-    /// space with semantically redundant permutations — used by the ablation
-    /// benchmark.
-    pub break_symmetries: bool,
     /// Standard bounded-checking configuration.
     pub bounded: BoundedConfig,
     /// Extended configuration used when the prover cannot certify.
@@ -36,7 +32,6 @@ impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig {
             max_level: 4,
-            break_symmetries: true,
             bounded: BoundedConfig::default(),
             extended: BoundedConfig::extended(),
         }
@@ -47,12 +42,6 @@ impl SynthConfig {
     /// Sets the maximum template complexity level.
     pub fn with_max_level(mut self, max_level: usize) -> SynthConfig {
         self.max_level = max_level;
-        self
-    }
-
-    /// Enables or disables symmetry breaking.
-    pub fn with_break_symmetries(mut self, on: bool) -> SynthConfig {
-        self.break_symmetries = on;
         self
     }
 
@@ -354,13 +343,7 @@ pub fn synthesize_with_hooks(
     // All templates per unit, up to the max level.
     let unit_templates: Vec<Vec<Template>> = units
         .iter()
-        .map(|&u| {
-            let mut ts = product_templates(&shape, u, &mined, &types, config.max_level);
-            if !config.break_symmetries {
-                ts = inflate_symmetries(ts);
-            }
-            ts
-        })
+        .map(|&u| product_templates(&shape, u, &mined, &types, config.max_level))
         .collect();
     if units.iter().zip(&unit_templates).any(|(_, ts)| ts.is_empty()) && !units.is_empty() {
         return Err(SynthFailure::Unsupported("no templates for a loop product".to_string()));
@@ -458,34 +441,4 @@ pub fn synthesize_with_hooks(
     stats.levels_used = 0;
     stats.elapsed = start.elapsed();
     Err(SynthFailure::NoCandidate(stats))
-}
-
-/// Without symmetry breaking the candidate space also contains redundant
-/// permutations of predicate conjunctions (the `σφ2(σφ1(r))` vs
-/// `σφ1(σφ2(r))` example of Sec. 4.5). Used by the ablation benchmark.
-fn inflate_symmetries(ts: Vec<Template>) -> Vec<Template> {
-    let mut out = Vec::with_capacity(ts.len() * 2);
-    for t in ts {
-        if let TorExpr::Select(p, inner) = &t.expr {
-            if p.atoms().len() == 2 {
-                // Permuted conjunction.
-                let perm = qbs_tor::Pred::new(vec![p.atoms()[1].clone(), p.atoms()[0].clone()]);
-                out.push(Template {
-                    expr: TorExpr::select(perm, (**inner).clone()),
-                    ..t.clone()
-                });
-                // Nested selections.
-                let nested = TorExpr::select(
-                    qbs_tor::Pred::new(vec![p.atoms()[1].clone()]),
-                    TorExpr::select(
-                        qbs_tor::Pred::new(vec![p.atoms()[0].clone()]),
-                        (**inner).clone(),
-                    ),
-                );
-                out.push(Template { expr: nested, ..t.clone() });
-            }
-        }
-        out.push(t);
-    }
-    out
 }

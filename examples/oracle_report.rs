@@ -4,8 +4,8 @@
 //! when a Mismatch verdict is found, failing the CI oracle job.
 //!
 //! ```sh
-//! cargo run --release -p qbs-bench --bin oracle_json -- \
-//!     [output-path] [--fuzz N] [--fuzz-seed S] [--seeds a,b,c] [--witness-dir DIR]
+//! cargo run --release --example oracle_report -- \
+//!     [output-path] [--fuzz N] [--fuzz-seed S] [--seeds a,b,c] [--witness-dir DIR] [--reorder]
 //! ```
 
 use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner, OracleConfig};

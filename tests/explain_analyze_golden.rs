@@ -8,16 +8,33 @@
 //! change that shifts what `explain_analyze` reports shows up as a
 //! golden diff here.
 
+use qbs::FragmentStatus;
+use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner};
 use qbs_db::{Connection, Params};
+use qbs_sql::SqlQuery;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
+
+/// Synthesizes the whole Appendix A corpus and returns every translated
+/// fragment's `(method, sql)`.
+fn corpus_queries() -> Vec<(String, SqlQuery)> {
+    let report = BatchRunner::new(BatchConfig::new()).run(&corpus_inputs());
+    report
+        .fragments
+        .into_iter()
+        .filter_map(|fr| match fr.status {
+            FragmentStatus::Translated { sql, .. } => Some((fr.method, sql)),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Synthesizes the corpus once and returns each translated fragment's
 /// deterministic analyze rendering over the seed-1 universe.
 fn renders() -> &'static BTreeMap<String, String> {
     static RENDERS: OnceLock<BTreeMap<String, String>> = OnceLock::new();
     RENDERS.get_or_init(|| {
-        let queries = qbs_bench::harness::corpus_queries();
+        let queries = corpus_queries();
         let db = qbs_corpus::populate_universe(1);
         let conn = Connection::open(db.clone());
         let params = Params::new();

@@ -114,7 +114,7 @@ fn join_reordering_preserves_every_corpus_and_fuzz_verdict() {
 #[test]
 fn seeded_fuzz_run_produces_zero_mismatches() {
     let runner = BatchRunner::new(BatchConfig::new());
-    // CI runs 200 fragments through the oracle_json binary; this keeps the
+    // CI runs 1000 fragments through the oracle_report example; this keeps the
     // cargo-test variant quick while still covering every shape.
     let config = OracleConfig::default().with_db_seeds(vec![4, 5]).with_fuzz(60, 0xace);
     let report = runner.run_oracle(&[], &config);

@@ -1,14 +1,15 @@
-//! `EXPLAIN ANALYZE`: per-operator actuals recorded during one
-//! interpretation of a [`PhysicalPlan`], rendered next to the planner's
+//! `EXPLAIN ANALYZE`: per-operator actuals recorded during one run of a
+//! [`PhysicalPlan`]'s compiled program, rendered next to the planner's
 //! estimates.
 //!
 //! [`Connection::explain_analyze`](crate::Connection::explain_analyze)
-//! executes a prepared statement with the interpreter's per-node
-//! instrumentation switched on and returns an [`AnalyzedPlan`]: the plan
-//! that ran, a [`PlanActuals`] with rows and elapsed time per operator,
-//! and the execution's [`ExecStats`]. Rendering the result annotates the
-//! same tree `explain()` prints, so a cardinality misestimate is visible
-//! as `est 100 rows … actual 3 rows` on the node that caused it.
+//! runs a prepared statement's compiled program — the one `execute` runs —
+//! with the VM's per-operator instrumentation switched on and returns an
+//! [`AnalyzedPlan`]: the plan that ran, a [`PlanActuals`] with rows and
+//! elapsed time per operator, and the execution's [`ExecStats`].
+//! Rendering the result annotates the same tree `explain()` prints, so a
+//! cardinality misestimate is visible as `est 100 rows … actual 3 rows` on
+//! the node that caused it.
 
 use crate::exec::ExecStats;
 use crate::planner::PhysicalPlan;
@@ -39,7 +40,7 @@ pub struct OpActuals {
     pub elapsed_ns: u64,
 }
 
-/// Per-operator actuals of one plan interpretation, in the same shape as
+/// Per-operator actuals of one plan run, in the same shape as
 /// the [`PhysicalPlan`] they were recorded against.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanActuals {
@@ -57,7 +58,7 @@ pub struct PlanActuals {
     pub distinct: Option<OpActuals>,
     /// Rows in the statement's final output.
     pub output_rows: usize,
-    /// End-to-end wall-clock time of the interpretation.
+    /// End-to-end wall-clock time of the run.
     pub total_ns: u64,
 }
 
@@ -80,7 +81,7 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 /// fully deterministic rendering for golden tests.
 #[derive(Clone, Debug)]
 pub struct AnalyzedPlan {
-    /// The plan that was interpreted.
+    /// The plan that ran.
     pub plan: Arc<PhysicalPlan>,
     /// Per-operator actuals.
     pub actuals: PlanActuals,

@@ -71,7 +71,7 @@ struct CachedPlan {
     snapshot: Snapshot,
 }
 
-/// Plan-cache counters held as atomics so [`Connection::cache_stats`] is
+/// Plan-cache counters held as atomics so [`Connection::plan_cache_stats`] is
 /// a lock-free read: a snapshot never blocks an in-flight increment, and
 /// incrementing never waits on a reader.
 #[derive(Debug, Default)]
@@ -380,28 +380,16 @@ impl Connection {
         stmt.validate(params)?;
         let (db, version) = self.pin();
         let opened = Instant::now();
-        let (plan, program, reused) = self.plan_for(stmt, &db);
+        let (program, reused) = self.plan_for(stmt, &db)?;
         let plan_ns = opened.elapsed().as_nanos() as u64;
-        // The compiled bytecode program (cached on the statement next to
-        // the plan) drives execution; plans the VM declined — and every
-        // plan under `force_interpreter` — run the tree-walking
-        // interpreter, which remains the differential baseline.
-        let mut out = match &program {
-            Some(prog) => db.execute_program(
-                prog,
-                params,
-                &self.inner.subqueries,
-                version,
-                Some(&stmt.out_schema),
-            )?,
-            None => db.execute_plan_cached(
-                &plan,
-                params,
-                &self.inner.subqueries,
-                version,
-                Some(&stmt.out_schema),
-            )?,
-        };
+        let mut out = db.execute_program(
+            &program,
+            params,
+            &self.inner.subqueries,
+            version,
+            Some(&stmt.out_schema),
+            None,
+        )?;
         out.stats.plan_ns = plan_ns;
         if reused {
             out.stats.plan_cache_hits += 1;
@@ -463,16 +451,17 @@ impl Connection {
         Ok(out)
     }
 
-    /// Executes a prepared statement with the interpreter's per-node
+    /// Executes a prepared statement with the VM's per-operator
     /// instrumentation switched on and returns the plan annotated with
     /// per-operator actuals — rows in and out, elapsed time, index use —
     /// next to the planner's `estimated_rows`.
     ///
-    /// The statement really executes: the plan cache, hoisted sub-query
-    /// cache, and generation-based invalidation all behave exactly as in
-    /// [`execute`](Self::execute), so the actuals are those of the
-    /// production path, not of a detached re-run. Scalar statements are
-    /// analyzed over their relational core.
+    /// The statement really executes: the same compiled program as
+    /// [`execute`](Self::execute) runs, and the plan cache, hoisted
+    /// sub-query cache, and generation-based invalidation all behave
+    /// exactly as there, so the actuals are those of the production path,
+    /// not of a detached re-run. Scalar statements are analyzed over their
+    /// relational core.
     ///
     /// # Errors
     ///
@@ -485,14 +474,11 @@ impl Connection {
         stmt.validate(params)?;
         let (db, version) = self.pin();
         let opened = Instant::now();
-        // EXPLAIN ANALYZE stays on the tree-walking interpreter: the
-        // per-node instrumentation lives there, and analysis is not a
-        // serving hot path.
-        let (plan, _program, reused) = self.plan_for(stmt, &db);
+        let (program, reused) = self.plan_for(stmt, &db)?;
         let plan_ns = opened.elapsed().as_nanos() as u64;
         let mut actuals = PlanActuals::default();
-        let out = db.execute_plan_instrumented(
-            &plan,
+        let out = db.execute_program(
+            &program,
             params,
             &self.inner.subqueries,
             version,
@@ -506,42 +492,38 @@ impl Connection {
         } else {
             stats.replans += 1;
         }
-        Ok(AnalyzedPlan { plan, actuals, stats })
+        Ok(AnalyzedPlan { plan: program.plan().clone(), actuals, stats })
     }
 
     /// A lock-free, by-value snapshot of the plan-cache counters shared
     /// by every clone of this connection. Reads three relaxed atomics —
     /// no lock is taken, so it is safe to call from a hot loop or while
     /// other clones are mid-execution.
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        self.inner.stats.snapshot()
-    }
-
-    /// The plan-cache counters accumulated by this connection (shared
-    /// across clones). Alias of [`cache_stats`](Self::cache_stats).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.cache_stats()
+        self.inner.stats.snapshot()
     }
 
     /// Resolves the statement's current plan against the *pinned*
     /// database: the statement's own plan when its snapshot is current,
     /// the fingerprint cache next, a fresh planning pass last. Returns
-    /// the plan, its compiled bytecode program (compiled lazily on first
-    /// use, `None` when the VM declined the shape or the config forces
-    /// the interpreter), and whether the plan was reused.
+    /// the plan's compiled bytecode program (compiled lazily on first
+    /// use) and whether the plan was reused.
+    ///
+    /// # Errors
+    ///
+    /// The plan cannot compile (see `compile_plan`).
     fn plan_for(
         &self,
         stmt: &PreparedStatement,
         db: &Database,
-    ) -> (Arc<PhysicalPlan>, Option<Arc<PlanProgram>>, bool) {
+    ) -> Result<(Arc<PlanProgram>, bool), DbError> {
         // Steady-state fast path: compare the recorded generations in
         // place, no snapshot allocation.
         {
             let cur = stmt.lock_current();
             if cur.snapshot.iter().all(|(t, g)| db.table(t).map(Table::generation) == *g) {
                 self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
-                let program = self.program_for(&cur);
-                return (cur.plan.clone(), program, true);
+                return Ok((self.program_for(&cur)?, true));
             }
         }
         let current = snapshot(db, &stmt.tables);
@@ -556,10 +538,10 @@ impl Connection {
         if let Some(plan) = cached {
             self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
             self.inner.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            let state = PlanState::new(plan.clone(), current);
+            let state = PlanState::new(plan, current);
             let program = self.program_for(&state);
             *stmt.lock_current() = state;
-            return (plan, program, false);
+            return Ok((program?, false));
         }
         let plan = replan(stmt, db, &self.inner.config);
         self.inner.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -568,24 +550,20 @@ impl Connection {
             stmt.fingerprint,
             CachedPlan { plan: plan.clone(), snapshot: current.clone() },
         );
-        let state = PlanState::new(plan.clone(), current);
+        let state = PlanState::new(plan, current);
         let program = self.program_for(&state);
         *stmt.lock_current() = state;
-        (plan, program, false)
+        Ok((program?, false))
     }
 
-    /// The compiled program of a plan state, compiling on first use.
-    /// `None` inside the cell records a shape the VM declined (or a
-    /// `force_interpreter` config), so the decision is made exactly once
-    /// per plan.
-    fn program_for(&self, state: &PlanState) -> Option<Arc<PlanProgram>> {
+    /// The compiled program of a plan state, compiling on first use. A
+    /// compile error is cached in the cell like a program, so it is
+    /// raised by every execution and computed once per plan.
+    fn program_for(&self, state: &PlanState) -> Result<Arc<PlanProgram>, DbError> {
         state
             .program
             .get_or_init(|| {
-                (!self.inner.config.force_interpreter)
-                    .then(|| crate::vm::compile_plan(&state.plan, &self.inner.config))
-                    .flatten()
-                    .map(Arc::new)
+                crate::vm::compile_plan(&state.plan, &self.inner.config).map(Arc::new)
             })
             .clone()
     }
@@ -700,11 +678,9 @@ mod tests {
         let stmt = conn.prepare("SELECT id FROM users WHERE roleId = :r").unwrap();
         let params = stmt.bind().set("r", 1).unwrap().finish().unwrap();
         let db = conn.database();
-        let (_, prog1, _) = conn.plan_for(&stmt, &db);
-        let (_, prog2, reused) = conn.plan_for(&stmt, &db);
+        let (p1, _) = conn.plan_for(&stmt, &db).expect("parameterized filter compiles");
+        let (p2, reused) = conn.plan_for(&stmt, &db).expect("steady state returns the program");
         assert!(reused);
-        let p1 = prog1.expect("parameterized filter compiles to a program");
-        let p2 = prog2.expect("steady state returns the cached program");
         // Same allocation: the program — and the filter kernels compiled
         // into it — is reused across executes, never recompiled per call.
         assert!(Arc::ptr_eq(&p1, &p2));
@@ -715,22 +691,20 @@ mod tests {
         // program with it and compiles a fresh one.
         conn.insert("users", vec![Value::from(6), Value::from(1), Value::from("u6")]).unwrap();
         let db = conn.database();
-        let (_, prog3, reused) = conn.plan_for(&stmt, &db);
+        let (p3, reused) = conn.plan_for(&stmt, &db).expect("replanned statement recompiles");
         assert!(!reused);
-        let p3 = prog3.expect("replanned statement recompiles");
         assert!(!Arc::ptr_eq(&p1, &p3), "stale program was invalidated with the plan");
     }
 
     #[test]
-    fn force_interpreter_never_compiles_a_program() {
-        let config = PlanConfig { force_interpreter: true, ..PlanConfig::default() };
-        let conn = Connection::open_with(setup(), config, Dialect::Generic);
-        let stmt = conn.prepare("SELECT id FROM users WHERE roleId = 1").unwrap();
-        let db = conn.database();
-        let (_, program, _) = conn.plan_for(&stmt, &db);
-        assert!(program.is_none(), "force_interpreter keeps the tree-walking baseline");
-        let out = rows(conn.execute(&stmt, &Params::new()).unwrap());
-        assert_eq!(out.rows.len(), 2);
+    fn a_plan_that_cannot_compile_fails_every_execution_alike() {
+        let conn = Connection::open(setup());
+        let stmt = conn.prepare("SELECT nosuch FROM users").unwrap();
+        for _ in 0..2 {
+            let err = conn.execute(&stmt, &Params::new()).unwrap_err();
+            assert_eq!(err, DbError::Exec("unresolved select column nosuch".to_string()));
+        }
+        assert!(conn.explain_analyze(&stmt, &Params::new()).is_err());
     }
 
     #[test]
@@ -914,6 +888,21 @@ mod tests {
             text.contains("hash aggregate (1 keys, 1 aggs, having) [actual 2 rows]"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn explain_analyze_runs_the_compiled_program() {
+        let conn = Connection::open(setup());
+        let stmt = conn.prepare("SELECT id FROM users WHERE roleId = 1 ORDER BY id").unwrap();
+        // Other test threads may dispatch concurrently: they only add.
+        let ret = crate::vm_metrics().counter("vm.dispatch.ret");
+        for _ in 0..3 {
+            let before = ret.get();
+            let analyzed = conn.explain_analyze(&stmt, &Params::new()).unwrap();
+            assert!(ret.get() > before, "explain_analyze dispatched a program");
+            assert_eq!(analyzed.actuals.output_rows, 2);
+            assert_eq!(analyzed.actuals.sort.as_ref().map(|s| s.rows_out), Some(2));
+        }
     }
 
     #[test]

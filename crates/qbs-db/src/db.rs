@@ -1,17 +1,16 @@
 //! The database façade: catalog plus query execution.
 //!
 //! Planning and execution are split: [`crate::planner::plan_with`] computes
-//! a [`PhysicalPlan`] once, and [`Database::execute_plan`] interprets that
-//! IR. `explain()` renders the *same* plan value, so the planner cannot
-//! drift from the executor.
+//! a [`PhysicalPlan`] once, [`compile_plan`] lowers it to a bytecode
+//! [`PlanProgram`], and [`Database::execute_plan`] runs that program.
+//! `explain()` renders the *same* plan value, so the planner cannot drift
+//! from the executor.
 
-use crate::analyze::{OpActuals, PlanActuals, ScanActuals};
-use crate::exec::{
-    self, distinct, eval_expr, filter, hash_join, nested_loop_join, sort, EvalCtx, ExecStats,
-    Frame, RowRef, SubResult,
-};
+use crate::analyze::PlanActuals;
+use crate::exec::{self, eval_expr, EvalCtx, ExecStats, Frame, RowRef, SubResult};
 use crate::planner::{plan_with, PhysicalPlan, PlanConfig, ScanNode, ScanSource};
 use crate::storage::{Chunk, ColumnVec, Table};
+use crate::vm::{compile_plan, PlanProgram};
 use qbs_common::{FieldType, Ident, Record, Relation, Schema, SchemaRef, Value};
 use qbs_sql::{SqlExpr, SqlQuery, SqlSelect};
 use qbs_tor::{AggKind, CmpOp};
@@ -248,299 +247,230 @@ impl Database {
         env
     }
 
-    /// Interprets one scan node: base-table rows (via the index probe when
-    /// the plan chose one) or a recursive sub-query plan, with the pushed
-    /// filter evaluated *before* each row is materialized. `limit` stops
-    /// the scan early once enough rows passed the filter (only set by the
-    /// planner when no later operator could change the prefix). `emit`
-    /// fuses the statement's projection into the scan itself (single-scan
-    /// plans with nothing between scan and projection): rows materialize
-    /// directly in output shape. `kernel` selects the scan strategy: the
-    /// interpreter passes [`ScanKernel::Auto`] (decide per execute, as
-    /// always), the bytecode VM passes the decision it already made at
-    /// compile time.
-    #[allow(clippy::too_many_arguments)] // two call sites; a param struct would just rename these
-    pub(crate) fn scan_node(
+    /// Runs one base-table scan node: rows via the index probe when the
+    /// plan chose one, with the pushed filter evaluated *before* each row
+    /// is materialized. `limit` stops the scan early once enough rows
+    /// passed the filter (only set when no later operator could change
+    /// the prefix). `emit` fuses the statement's projection into the scan
+    /// itself (single-scan plans with nothing between scan and
+    /// projection): rows materialize directly in output shape. `kernel`
+    /// is the scan strategy the bytecode VM chose at compile time.
+    /// Sub-query scans run their child program in the VM instead.
+    #[allow(clippy::too_many_arguments)] // the scan op's operands; a param struct would just rename these
+    pub(crate) fn scan_table(
         &self,
         node: &ScanNode,
         params: &Params,
         ctx: &EvalCtx<'_>,
         stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
         limit: Option<usize>,
         emit: Option<&(Vec<exec::FrameCol>, Vec<usize>)>,
         kernel: ScanKernel<'_>,
     ) -> Result<Frame, DbError> {
-        match &node.source {
-            ScanSource::Table(name) => {
-                let table =
-                    self.tables.get(name).ok_or_else(|| DbError::UnknownTable(name.clone()))?;
-                // The plan's layout was computed against some database's
-                // catalog; executing it against a table of a different
-                // shape must fail loudly, not mis-project.
-                let arity = table.schema().arity();
-                if arity + 1 != node.cols.len() {
-                    return Err(DbError::Exec(format!(
-                        "plan was computed against a different shape of table {name} \
-                         ({} columns, now {})",
-                        node.cols.len().saturating_sub(1),
-                        arity,
-                    )));
-                }
+        let ScanSource::Table(name) = &node.source else {
+            unreachable!("sub-query scans run their child program")
+        };
+        let table = self.tables.get(name).ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+        // The plan's layout was computed against some database's
+        // catalog; executing it against a table of a different
+        // shape must fail loudly, not mis-project.
+        let arity = table.schema().arity();
+        if arity + 1 != node.cols.len() {
+            return Err(DbError::Exec(format!(
+                "plan was computed against a different shape of table {name} \
+                 ({} columns, now {})",
+                node.cols.len().saturating_sub(1),
+                arity,
+            )));
+        }
 
-                let index_rows: Option<Vec<usize>> = match &node.probe {
-                    Some(probe) => {
-                        let v = match &probe.value {
-                            SqlExpr::Lit(v) => v.clone(),
-                            SqlExpr::Param(p) => params.get(p).cloned().ok_or_else(|| {
-                                DbError::from(exec::ExecError::new(format!(
-                                    "unbound parameter :{p}"
-                                )))
-                            })?,
-                            other => {
-                                return Err(DbError::Exec(format!(
-                                    "non-constant index probe {other:?}"
-                                )))
-                            }
-                        };
-                        stats.used_index = true;
-                        // A probe is only planned against an existing index;
-                        // executing the plan on a database without it (the
-                        // plan/database pair diverged) must not silently
-                        // read an empty bucket.
-                        let rows = table.index_lookup(&probe.column, &v).ok_or_else(|| {
-                            DbError::Exec(format!(
-                                "plan expects an index on {}.{} that this database \
-                                 does not have",
-                                name, probe.column
-                            ))
-                        })?;
-                        Some(rows)
-                    }
-                    None => None,
-                };
-
-                // The filter evaluates against the full scan layout (the
-                // raw row plus rowid), independent of what is emitted; the
-                // shell frame is only needed when a filter exists *and* the
-                // scan may take the row path (a pre-chosen vectorized scan
-                // never touches it, so the per-execute allocation is
-                // skipped).
-                let shell = match (&kernel, &node.filter) {
-                    (ScanKernel::Vector(_), _) | (_, None) => None,
-                    (_, Some(_)) => Some(Frame::new(node.cols.clone())),
-                };
-                // Effective gather into the raw row: the fused projection
-                // (whose indices address the pruned output layout) composed
-                // over the scan's own column pruning.
-                let gather: Option<(Vec<exec::FrameCol>, Vec<usize>)> = match (emit, &node.emit)
-                {
-                    (Some((cols, idx)), Some(e)) => {
-                        Some((cols.clone(), idx.iter().map(|&i| e[i]).collect()))
-                    }
-                    (Some((cols, idx)), None) => Some((cols.clone(), idx.clone())),
-                    (None, Some(e)) => Some((node.out_cols(), e.clone())),
-                    (None, None) => None,
-                };
-                let mut frame = Frame::new(match &gather {
-                    Some((cols, _)) => cols.clone(),
-                    None => node.cols.clone(),
-                });
-
-                // Vectorized columnar path: a full-table scan whose pushed
-                // filter (if any) compiles to a column kernel evaluates it
-                // over typed column slices in `SCAN_BATCH`-row batches,
-                // stitching output rows only for surviving positions. Index
-                // probes, pushed limits (whose "stop at the k-th match"
-                // contract is row-at-a-time by nature), and filters outside
-                // the kernel grammar keep the row path below. Under
-                // [`ScanKernel::Auto`] the decision (and the kernel
-                // compilation) happens here per execute; the VM resolves
-                // both at plan-compile time and passes the result in.
-                let auto_kernel: Option<ColKernel>;
-                let vector: Option<Option<&ColKernel>> = match kernel {
-                    ScanKernel::Row => None,
-                    ScanKernel::Vector(k) => Some(k),
-                    ScanKernel::Auto => {
-                        if index_rows.is_none()
-                            && limit.is_none()
-                            && !shared.config.force_row_store
-                        {
-                            match &node.filter {
-                                None => Some(None),
-                                Some(pred) => {
-                                    auto_kernel = compile_kernel(
-                                        pred,
-                                        shell.as_ref().expect("shell built alongside filter"),
-                                        params,
-                                    );
-                                    auto_kernel.as_ref().map(Some)
-                                }
-                            }
-                        } else {
-                            None
-                        }
+        let index_rows: Option<Vec<usize>> = match &node.probe {
+            Some(probe) => {
+                let v = match &probe.value {
+                    SqlExpr::Lit(v) => v.clone(),
+                    SqlExpr::Param(p) => params.get(p).cloned().ok_or_else(|| {
+                        DbError::from(exec::ExecError::new(format!("unbound parameter :{p}")))
+                    })?,
+                    other => {
+                        return Err(DbError::Exec(format!(
+                            "non-constant index probe {other:?}"
+                        )))
                     }
                 };
-                if let Some(kernel) = vector {
-                    let gather_row = |chunk: &Chunk, i: usize, frame: &mut Frame| {
-                        let rowid = chunk.base() + i;
-                        let out = match &gather {
-                            Some((_, idx)) => idx
-                                .iter()
-                                .map(|&c| {
-                                    if c < arity {
-                                        chunk.col(c).value(i)
-                                    } else {
-                                        Value::from(rowid as i64)
-                                    }
-                                })
-                                .collect(),
-                            None => {
-                                let mut out = chunk.row_values(i);
-                                out.push(Value::from(rowid as i64));
-                                out
-                            }
-                        };
-                        frame.rows.push(out);
-                    };
-                    match kernel {
-                        // No filter: every row survives, no mask needed.
-                        None => {
-                            frame.rows.reserve(table.len());
-                            for chunk in table.chunks() {
-                                stats.rows_scanned += chunk.len();
-                                for i in 0..chunk.len() {
-                                    gather_row(chunk, i, &mut frame);
-                                }
-                            }
-                        }
-                        Some(k) => {
-                            // The mask is sized to the widest batch that
-                            // can actually occur — page-load-sized tables
-                            // pay bytes, not SCAN_BATCH, per execution.
-                            let cap = table
-                                .chunks()
-                                .iter()
-                                .map(|c| c.len())
-                                .max()
-                                .unwrap_or(0)
-                                .min(SCAN_BATCH);
-                            let mut mask = vec![true; cap];
-                            for chunk in table.chunks() {
-                                // Every row of every chunk is examined
-                                // exactly once — the same count the row
-                                // path reports.
-                                stats.rows_scanned += chunk.len();
-                                let mut start = 0usize;
-                                while start < chunk.len() {
-                                    let n = SCAN_BATCH.min(chunk.len() - start);
-                                    let mask = &mut mask[..n];
-                                    eval_kernel(k, chunk, start, arity, mask);
-                                    for (j, keep) in mask.iter().enumerate() {
-                                        if *keep {
-                                            gather_row(chunk, start + j, &mut frame);
-                                        }
-                                    }
-                                    start += n;
-                                }
-                            }
-                        }
-                    }
-                    return Ok(frame);
-                }
-
-                let mut push_row = |rowid: usize,
-                                    row: &[Value],
-                                    stats: &mut ExecStats|
-                 -> Result<bool, DbError> {
-                    stats.rows_scanned += 1;
-                    let rv = [Value::from(rowid as i64)];
-                    let keep = match &node.filter {
-                        Some(pred) => exec::truthy(&eval_expr(
-                            pred,
-                            shell.as_ref().expect("shell built alongside filter"),
-                            RowRef::Pair(row, &rv),
-                            ctx,
-                        )?)?,
-                        None => true,
-                    };
-                    if keep {
-                        let out = match &gather {
-                            // Gather output columns straight from the raw
-                            // row (position `arity` is the rowid).
-                            Some((_, idx)) => idx
-                                .iter()
-                                .map(
-                                    |&i| if i < arity { row[i].clone() } else { rv[0].clone() },
-                                )
-                                .collect(),
-                            None => {
-                                let mut out = row.to_vec();
-                                out.push(rv.into_iter().next().expect("one rowid"));
-                                out
-                            }
-                        };
-                        frame.rows.push(out);
-                    }
-                    Ok(keep)
-                };
-                let mut kept = 0usize;
-                match index_rows {
-                    Some(ids) => {
-                        for rowid in ids {
-                            if limit.is_some_and(|n| kept >= n) {
-                                break;
-                            }
-                            let row = table.row(rowid).ok_or_else(|| {
-                                DbError::Exec(format!("index rowid {rowid} out of range"))
-                            })?;
-                            kept += usize::from(push_row(rowid, &row, stats)?);
-                        }
-                    }
-                    None => {
-                        for (rowid, row) in table.rows().enumerate() {
-                            if limit.is_some_and(|n| kept >= n) {
-                                break;
-                            }
-                            kept += usize::from(push_row(rowid, &row, stats)?);
-                        }
-                    }
-                }
-                Ok(frame)
+                stats.used_index = true;
+                // A probe is only planned against an existing index;
+                // executing the plan on a database without it (the
+                // plan/database pair diverged) must not silently
+                // read an empty bucket.
+                let rows = table.index_lookup(&probe.column, &v).ok_or_else(|| {
+                    DbError::Exec(format!(
+                        "plan expects an index on {}.{} that this database \
+                         does not have",
+                        name, probe.column
+                    ))
+                })?;
+                Some(rows)
             }
-            ScanSource::Subquery { plan } => {
-                // Fresh counters for the inner plan: `joins`/`used_index`
-                // describe the top-level statement (what `Plan::summary`
-                // renders), so only the row/comparison work is absorbed —
-                // the same contract as hoisted predicate sub-queries.
-                let mut inner_stats = ExecStats::default();
-                let inner =
-                    self.run_plan(plan, params, &mut inner_stats, shared, version, None)?;
-                stats.absorb_nested(&inner_stats);
-                let mut f = Frame::new(node.cols.clone());
-                f.rows = inner.rows;
-                if let Some(pred) = &node.filter {
-                    f = filter(f, pred, ctx)?;
+            None => None,
+        };
+
+        // The filter evaluates against the full scan layout (the
+        // raw row plus rowid), independent of what is emitted; the
+        // shell frame is only needed when a filter exists *and* the
+        // scan takes the row path (a vectorized scan never touches
+        // it, so the per-execute allocation is skipped).
+        let shell = match (&kernel, &node.filter) {
+            (ScanKernel::Row, Some(_)) => Some(Frame::new(node.cols.clone())),
+            _ => None,
+        };
+        // Effective gather into the raw row: the fused projection
+        // (whose indices address the pruned output layout) composed
+        // over the scan's own column pruning.
+        let gather: Option<(Vec<exec::FrameCol>, Vec<usize>)> = match (emit, &node.emit) {
+            (Some((cols, idx)), Some(e)) => {
+                Some((cols.clone(), idx.iter().map(|&i| e[i]).collect()))
+            }
+            (Some((cols, idx)), None) => Some((cols.clone(), idx.clone())),
+            (None, Some(e)) => Some((node.out_cols(), e.clone())),
+            (None, None) => None,
+        };
+        let mut frame = Frame::new(match &gather {
+            Some((cols, _)) => cols.clone(),
+            None => node.cols.clone(),
+        });
+
+        // Vectorized columnar path: a full-table scan whose pushed
+        // filter (if any) compiled to a column kernel evaluates it
+        // over typed column slices in `SCAN_BATCH`-row batches,
+        // stitching output rows only for surviving positions. Index
+        // probes, pushed limits (whose "stop at the k-th match"
+        // contract is row-at-a-time by nature), and filters outside
+        // the kernel grammar keep the row path below.
+        if let ScanKernel::Vector(kernel) = kernel {
+            let gather_row = |chunk: &Chunk, i: usize, frame: &mut Frame| {
+                let rowid = chunk.base() + i;
+                let out = match &gather {
+                    Some((_, idx)) => idx
+                        .iter()
+                        .map(|&c| {
+                            if c < arity {
+                                chunk.col(c).value(i)
+                            } else {
+                                Value::from(rowid as i64)
+                            }
+                        })
+                        .collect(),
+                    None => {
+                        let mut out = chunk.row_values(i);
+                        out.push(Value::from(rowid as i64));
+                        out
+                    }
+                };
+                frame.rows.push(out);
+            };
+            match kernel {
+                // No filter: every row survives, no mask needed.
+                None => {
+                    frame.rows.reserve(table.len());
+                    for chunk in table.chunks() {
+                        stats.rows_scanned += chunk.len();
+                        for i in 0..chunk.len() {
+                            gather_row(chunk, i, &mut frame);
+                        }
+                    }
                 }
-                if let Some(n) = limit {
-                    f.rows.truncate(n);
+                Some(k) => {
+                    // The mask is sized to the widest batch that
+                    // can actually occur — page-load-sized tables
+                    // pay bytes, not SCAN_BATCH, per execution.
+                    let cap = table
+                        .chunks()
+                        .iter()
+                        .map(|c| c.len())
+                        .max()
+                        .unwrap_or(0)
+                        .min(SCAN_BATCH);
+                    let mut mask = vec![true; cap];
+                    for chunk in table.chunks() {
+                        // Every row of every chunk is examined
+                        // exactly once — the same count the row
+                        // path reports.
+                        stats.rows_scanned += chunk.len();
+                        let mut start = 0usize;
+                        while start < chunk.len() {
+                            let n = SCAN_BATCH.min(chunk.len() - start);
+                            let mask = &mut mask[..n];
+                            eval_kernel(k, chunk, start, arity, mask);
+                            for (j, keep) in mask.iter().enumerate() {
+                                if *keep {
+                                    gather_row(chunk, start + j, &mut frame);
+                                }
+                            }
+                            start += n;
+                        }
+                    }
                 }
-                if let Some((cols, idx)) = emit {
-                    let rows = f
-                        .rows
-                        .into_iter()
-                        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-                        .collect();
-                    f = Frame { cols: cols.clone(), rows };
+            }
+            return Ok(frame);
+        }
+
+        let mut push_row =
+            |rowid: usize, row: &[Value], stats: &mut ExecStats| -> Result<bool, DbError> {
+                stats.rows_scanned += 1;
+                let rv = [Value::from(rowid as i64)];
+                let keep = match &node.filter {
+                    Some(pred) => exec::truthy(&eval_expr(
+                        pred,
+                        shell.as_ref().expect("shell built alongside filter"),
+                        RowRef::Pair(row, &rv),
+                        ctx,
+                    )?)?,
+                    None => true,
+                };
+                if keep {
+                    let out = match &gather {
+                        // Gather output columns straight from the raw
+                        // row (position `arity` is the rowid).
+                        Some((_, idx)) => idx
+                            .iter()
+                            .map(|&i| if i < arity { row[i].clone() } else { rv[0].clone() })
+                            .collect(),
+                        None => {
+                            let mut out = row.to_vec();
+                            out.push(rv.into_iter().next().expect("one rowid"));
+                            out
+                        }
+                    };
+                    frame.rows.push(out);
                 }
-                Ok(f)
+                Ok(keep)
+            };
+        let mut kept = 0usize;
+        match index_rows {
+            Some(ids) => {
+                for rowid in ids {
+                    if limit.is_some_and(|n| kept >= n) {
+                        break;
+                    }
+                    let row = table.row(rowid).ok_or_else(|| {
+                        DbError::Exec(format!("index rowid {rowid} out of range"))
+                    })?;
+                    kept += usize::from(push_row(rowid, &row, stats)?);
+                }
+            }
+            None => {
+                for (rowid, row) in table.rows().enumerate() {
+                    if limit.is_some_and(|n| kept >= n) {
+                        break;
+                    }
+                    kept += usize::from(push_row(rowid, &row, stats)?);
+                }
             }
         }
+        Ok(frame)
     }
 
-    /// Executes a relational query (plans once, interprets the plan).
+    /// Executes a relational query: plans it, compiles the plan, runs it.
     ///
     /// # Errors
     ///
@@ -565,87 +495,47 @@ impl Database {
         config: &PlanConfig,
     ) -> Result<SelectOutput, DbError> {
         let planned = Instant::now();
-        let plan = plan_with(q, self, config);
+        let plan = Arc::new(plan_with(q, self, config));
         let plan_ns = planned.elapsed().as_nanos() as u64;
-        let mut out = self.execute_plan_with(&plan, params, config)?;
+        let prog = compile_plan(&plan, config)?;
+        let shared = SubqueryState::new(config.clone());
+        let mut out = self.execute_program(&prog, params, &shared, 0, None, None)?;
         out.stats.plan_ns = plan_ns;
         Ok(out)
     }
 
-    /// Interprets an already-computed [`PhysicalPlan`] — the other consumer
-    /// of the exact value `explain()` renders.
+    /// Runs an already-computed [`PhysicalPlan`] — the other consumer of
+    /// the exact value `explain()` renders — under the default
+    /// [`PlanConfig`] (which also plans its hoisted `IN` sub-queries).
     ///
     /// # Errors
     ///
-    /// Propagates unknown tables/columns and evaluation failures.
+    /// The plan cannot compile (no `FROM`, an unresolved select item, a
+    /// LIMIT/OFFSET that is neither a constant nor a parameter); unknown
+    /// tables/columns and evaluation failures.
     pub fn execute_plan(
         &self,
         plan: &PhysicalPlan,
         params: &Params,
     ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_with(plan, params, &PlanConfig::default())
+        let config = PlanConfig::default();
+        let prog = compile_plan(&Arc::new(plan.clone()), &config)?;
+        self.execute_program(&prog, params, &SubqueryState::new(config), 0, None, None)
     }
 
-    /// [`Database::execute_plan`] under a non-default [`PlanConfig`].
-    ///
-    /// Pass the *same* configuration the plan was computed with: the
-    /// config also governs how hoisted predicate sub-queries encountered
-    /// during interpretation are planned (e.g. a `reorder_joins` plan
-    /// executed under the default config would plan its `IN (SELECT …)`
-    /// sub-queries in `FROM` order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unknown tables/columns and evaluation failures.
-    pub fn execute_plan_with(
+    /// Runs a compiled program as one statement: fresh counters, the
+    /// whole-run `exec_ns`, and the output relation. `shared` and
+    /// `version` are the hoisting cache and the snapshot version this
+    /// database value was pinned at (a fresh state and 0 for one-shot
+    /// executions). `schema_cache` holds a prepared statement's output
+    /// schema: identical across executions, so it is derived once — only
+    /// written from a row-bearing result (an empty one cannot sniff
+    /// types) and only read when the arity matches. With `actuals`, the
+    /// run records per-operator actuals plus the output rows and total
+    /// time (EXPLAIN ANALYZE).
+    pub(crate) fn execute_program(
         &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        config: &PlanConfig,
-    ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_shared(plan, params, &SubqueryState::new(config.clone()), 0)
-    }
-
-    /// [`Database::execute_plan_with`] against a caller-owned
-    /// [`SubqueryState`] — how a [`Connection`](crate::Connection) lets
-    /// hoisted sub-query results survive across statements. `version` is
-    /// the snapshot version this database value was pinned at (0 for
-    /// one-shot executions with a fresh state).
-    pub(crate) fn execute_plan_shared(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        shared: &SubqueryState,
-        version: u64,
-    ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_cached(plan, params, shared, version, None)
-    }
-
-    /// [`Database::execute_plan_shared`] with an optional output-schema
-    /// cache: a prepared statement's result schema is identical across
-    /// executions (types come from the table schemas), so re-deriving it
-    /// per call is waste on the execute-many hot path. The cache is only
-    /// written from a row-bearing result (an empty result cannot sniff
-    /// types) and only read when the arity matches.
-    pub(crate) fn execute_plan_cached(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        shared: &SubqueryState,
-        version: u64,
-        schema_cache: Option<&OnceLock<SchemaRef>>,
-    ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_instrumented(plan, params, shared, version, schema_cache, None)
-    }
-
-    /// [`Database::execute_plan_cached`] with optional per-operator
-    /// instrumentation: when `actuals` is provided the interpreter
-    /// records rows and elapsed time per plan node into it — the engine
-    /// of `EXPLAIN ANALYZE`. With `None` the interpreter takes no
-    /// per-node clock readings at all (only the whole-plan `exec_ns`).
-    pub(crate) fn execute_plan_instrumented(
-        &self,
-        plan: &PhysicalPlan,
+        prog: &PlanProgram,
         params: &Params,
         shared: &SubqueryState,
         version: u64,
@@ -655,7 +545,7 @@ impl Database {
         let mut stats = ExecStats::default();
         let started = Instant::now();
         let frame =
-            self.run_plan(plan, params, &mut stats, shared, version, actuals.as_deref_mut())?;
+            prog.run(self, params, &mut stats, shared, version, actuals.as_deref_mut())?;
         stats.exec_ns = started.elapsed().as_nanos() as u64;
         if let Some(a) = actuals {
             a.output_rows = frame.rows.len();
@@ -664,32 +554,8 @@ impl Database {
         finish_frame(frame, stats, schema_cache)
     }
 
-    /// The plan interpreter: scans, join steps, residual filter, sort,
-    /// projection, distinct, limit — exactly the decisions recorded in the
-    /// [`PhysicalPlan`], no re-planning.
-    ///
-    /// With `actuals` set, every operator's row count and wall-clock time
-    /// is recorded (the `EXPLAIN ANALYZE` path); with `None` the
-    /// interpreter reads no per-node clocks. Nested plans (sub-query
-    /// scans, hoisted predicate sub-queries) are never instrumented —
-    /// their work shows up in the enclosing scan's figures.
-    fn run_plan(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
-        actuals: Option<&mut PlanActuals>,
-    ) -> Result<Frame, DbError> {
-        self.with_hoisting(params, stats, shared, version, |ctx, stats| {
-            self.run_plan_ops(plan, params, ctx, stats, shared, version, actuals)
-        })
-    }
-
     /// Runs `f` with the sub-query hoisting machinery wired into an
-    /// [`EvalCtx`] — the shared scaffolding under both plan executors
-    /// (the tree-walking interpreter and the bytecode VM).
+    /// [`EvalCtx`] — the scaffolding under every [`PlanProgram::run`].
     ///
     /// Uncorrelated predicate sub-queries are hoisted: executed at most
     /// once per statement, with hash-set membership for the per-row
@@ -718,11 +584,13 @@ impl Database {
                 local.borrow_mut().stats.subquery_cache_hits += 1;
                 return Ok(hit);
             }
-            let inner = plan_with(s, self, &shared.config);
+            let to_exec = |e: DbError| exec::ExecError::new(e.to_string());
+            let inner =
+                compile_plan(&Arc::new(plan_with(s, self, &shared.config)), &shared.config)
+                    .map_err(to_exec)?;
             let mut st = ExecStats::default();
-            let frame = self
-                .run_plan(&inner, params, &mut st, shared, version, None)
-                .map_err(|e| exec::ExecError::new(e.to_string()))?;
+            let frame =
+                inner.run(self, params, &mut st, shared, version, None).map_err(to_exec)?;
             let result = Arc::new(SubResult::from_frame(frame));
             {
                 // `st` already folded the counters of anything nested
@@ -745,292 +613,6 @@ impl Database {
         let out = f(&ctx, stats);
         stats.absorb_nested(&local.borrow().stats);
         out
-    }
-
-    /// The operator pipeline of [`Database::run_plan`], with the hoisting
-    /// closure already built into `ctx`.
-    #[allow(clippy::too_many_arguments)] // one call site; split from run_plan for the local fold
-    fn run_plan_ops(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        ctx: &EvalCtx<'_>,
-        stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
-        mut actuals: Option<&mut PlanActuals>,
-    ) -> Result<Frame, DbError> {
-        let limit_n: Option<usize> = match &plan.limit {
-            None => None,
-            Some(SqlExpr::Lit(Value::Int(n))) => Some((*n).max(0) as usize),
-            Some(SqlExpr::Param(p)) => {
-                let n = params
-                    .get(p)
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| DbError::Exec(format!("unbound LIMIT parameter :{p}")))?;
-                Some(n.max(0) as usize)
-            }
-            Some(other) => return Err(DbError::Exec(format!("unsupported LIMIT {other:?}"))),
-        };
-        let offset_n: usize = match &plan.offset {
-            None => 0,
-            Some(SqlExpr::Lit(Value::Int(n))) => (*n).max(0) as usize,
-            Some(SqlExpr::Param(p)) => {
-                let n = params
-                    .get(p)
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| DbError::Exec(format!("unbound OFFSET parameter :{p}")))?;
-                n.max(0) as usize
-            }
-            Some(other) => return Err(DbError::Exec(format!("unsupported OFFSET {other:?}"))),
-        };
-        // LIMIT pushed into the scan itself: sound only when no later
-        // operator can reject or reorder rows. An OFFSET widens the prefix
-        // the scan must produce — the first `offset` keepers are dropped
-        // again below, so the scan has to fetch `limit + offset` rows.
-        let scan_limit = (plan.scans.len() == 1
-            && plan.joins.is_empty()
-            && plan.residual.is_none()
-            && plan.aggregate.is_none()
-            && plan.order_by.is_empty()
-            && !plan.distinct)
-            .then_some(limit_n.map(|n| n.saturating_add(offset_n)))
-            .flatten();
-
-        // Projection fusion: with a statically resolved projection and no
-        // operator between the last scan/join and the projection, the
-        // final operator materializes rows directly in output shape and
-        // the separate projection pass disappears. An aggregate never
-        // fuses: its projection addresses the grouped output layout, not
-        // the scan/join layout.
-        let fused = plan.projection.is_some()
-            && plan.residual.is_none()
-            && plan.aggregate.is_none()
-            && plan.order_by.is_empty();
-        let scan_emit =
-            (fused && plan.scans.len() == 1).then(|| plan.projection.as_ref().expect("fused"));
-
-        // Per-node clock readings only happen on the analyze path — the
-        // production interpreter's instrumentation cost is one branch per
-        // operator.
-        let timing = actuals.is_some();
-        let mut frames: Vec<Frame> = Vec::with_capacity(plan.scans.len());
-        for node in &plan.scans {
-            let opened = timing.then(Instant::now);
-            let scanned_before = stats.rows_scanned;
-            let frame = self.scan_node(
-                node,
-                params,
-                ctx,
-                stats,
-                shared,
-                version,
-                scan_limit,
-                scan_emit,
-                ScanKernel::Auto,
-            )?;
-            if let Some(a) = actuals.as_deref_mut() {
-                a.scans.push(ScanActuals {
-                    rows_scanned: stats.rows_scanned - scanned_before,
-                    rows_out: frame.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                    via_index: node.probe.is_some(),
-                });
-            }
-            frames.push(frame);
-        }
-
-        let mut iter = frames.into_iter();
-        let mut acc =
-            iter.next().ok_or_else(|| DbError::Exec("query without FROM".to_string()))?;
-        for (k, (step, right)) in plan.joins.iter().zip(iter).enumerate() {
-            let emit = (fused && k + 1 == plan.joins.len())
-                .then(|| plan.projection.as_ref().expect("fused"));
-            let opened = timing.then(Instant::now);
-            acc = match (&step.algorithm, &step.key) {
-                (crate::planner::JoinAlgorithm::Hash, Some((lk, rk))) => {
-                    // Plan-resolved key positions skip per-row expression
-                    // evaluation entirely.
-                    let (lkey, rkey) = match step.key_idx {
-                        Some((li, ri)) => (exec::JoinKey::Idx(li), exec::JoinKey::Idx(ri)),
-                        None => (exec::JoinKey::Expr(lk), exec::JoinKey::Expr(rk)),
-                    };
-                    hash_join(
-                        acc,
-                        right,
-                        lkey,
-                        rkey,
-                        step.residual.as_ref(),
-                        emit,
-                        None,
-                        ctx,
-                        stats,
-                    )?
-                }
-                _ => nested_loop_join(
-                    acc,
-                    right,
-                    step.residual.as_ref(),
-                    emit,
-                    None,
-                    ctx,
-                    stats,
-                )?,
-            };
-            if let Some(a) = actuals.as_deref_mut() {
-                a.joins.push(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
-            }
-        }
-
-        // Leftover predicates (alias-free literals etc.).
-        if let Some(pred) = &plan.residual {
-            let opened = timing.then(Instant::now);
-            acc = filter(acc, pred, ctx)?;
-            if let Some(a) = actuals.as_deref_mut() {
-                a.residual = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
-            }
-        }
-
-        // Grouped aggregation between the residual filter and the sort:
-        // hash-aggregate the joined frame, then apply the rewritten
-        // HAVING as an ordinary filter over the grouped output.
-        if let Some(agg) = &plan.aggregate {
-            let opened = timing.then(Instant::now);
-            acc = exec::hash_aggregate(acc, agg, ctx)?;
-            if let Some(h) = &agg.having {
-                acc = filter(acc, h, ctx)?;
-            }
-            if let Some(a) = actuals.as_deref_mut() {
-                a.aggregate = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
-            }
-        }
-
-        // ORDER BY before projection (keys may be unprojected).
-        if !plan.order_by.is_empty() {
-            let keys: Vec<(SqlExpr, bool)> =
-                plan.order_by.iter().map(|k| (k.expr.clone(), k.asc)).collect();
-            let opened = timing.then(Instant::now);
-            acc = sort(acc, &keys, ctx)?;
-            if let Some(a) = actuals.as_deref_mut() {
-                a.sort = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
-            }
-        }
-
-        // Without DISTINCT the page window is already final after the
-        // sort: drop the offset prefix and truncate before paying for
-        // projection.
-        if !plan.distinct {
-            if offset_n > 0 {
-                acc.rows.drain(..offset_n.min(acc.rows.len()));
-            }
-            if let Some(n) = limit_n {
-                acc.rows.truncate(n);
-            }
-        }
-
-        // Projection — already fused into the final scan/join above when
-        // possible.
-        if fused {
-            let mut frame = acc;
-            if plan.distinct {
-                let opened = timing.then(Instant::now);
-                frame = distinct(frame);
-                if let Some(a) = actuals.as_deref_mut() {
-                    a.distinct = Some(OpActuals {
-                        rows_out: frame.rows.len(),
-                        elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                    });
-                }
-                if offset_n > 0 {
-                    frame.rows.drain(..offset_n.min(frame.rows.len()));
-                }
-                if let Some(n) = limit_n {
-                    frame.rows.truncate(n);
-                }
-            }
-            return Ok(frame);
-        }
-        // The plan usually resolved the projection statically; the dynamic
-        // path remains for plans whose select items could not be resolved
-        // at plan time (and carries the runtime errors).
-        let (out_cols, out_idx): (Vec<exec::FrameCol>, Vec<usize>) = match &plan.projection {
-            Some((cols, idx)) => (cols.clone(), idx.clone()),
-            None => {
-                let mut out_cols = Vec::new();
-                let mut out_idx: Vec<usize> = Vec::new();
-                if plan.columns.is_empty() {
-                    for (i, c) in acc.cols.iter().enumerate() {
-                        if c.name != "rowid" {
-                            out_cols.push(c.clone());
-                            out_idx.push(i);
-                        }
-                    }
-                } else {
-                    for (k, item) in plan.columns.iter().enumerate() {
-                        match &item.expr {
-                            SqlExpr::Column { qualifier, name } => {
-                                let i =
-                                    acc.resolve(qualifier.as_ref(), name).ok_or_else(|| {
-                                        DbError::Exec(format!(
-                                            "unresolved select column {name}"
-                                        ))
-                                    })?;
-                                out_cols.push(exec::FrameCol {
-                                    alias: item
-                                        .alias
-                                        .clone()
-                                        .unwrap_or_else(|| acc.cols[i].alias.clone()),
-                                    name: item.alias.clone().unwrap_or_else(|| name.clone()),
-                                });
-                                out_idx.push(i);
-                            }
-                            other => {
-                                return Err(DbError::Exec(format!(
-                                    "unsupported select expression {other:?} at position {k}"
-                                )))
-                            }
-                        }
-                    }
-                }
-                (out_cols, out_idx)
-            }
-        };
-        let rows = acc
-            .rows
-            .into_iter()
-            .map(|r| out_idx.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        let mut frame = Frame { cols: out_cols, rows };
-
-        if plan.distinct {
-            let opened = timing.then(Instant::now);
-            frame = distinct(frame);
-            if let Some(a) = actuals {
-                a.distinct = Some(OpActuals {
-                    rows_out: frame.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
-            }
-            if offset_n > 0 {
-                frame.rows.drain(..offset_n.min(frame.rows.len()));
-            }
-            if let Some(n) = limit_n {
-                frame.rows.truncate(n);
-            }
-        }
-        Ok(frame)
     }
 
     /// Executes any query (relational or scalar).
@@ -1070,7 +652,7 @@ impl Database {
     /// Folds a scalar query's aggregate (and optional trailing comparison)
     /// over the already-executed relational core — shared by the per-call
     /// path above and prepared-statement execution, which plans the core
-    /// once and interprets it per call.
+    /// once and runs it per call.
     pub(crate) fn finish_scalar(
         &self,
         s: &qbs_sql::SqlScalar,
@@ -1160,9 +742,8 @@ fn aggregate(agg: AggKind, rows: &Relation) -> Result<Value, DbError> {
 
 /// Builds the output relation from an executed frame: anonymous schema
 /// over the frame columns, reused from the cache when one is provided and
-/// fits — the materialization tail shared by the plan interpreter and the
-/// bytecode VM.
-pub(crate) fn finish_frame(
+/// fits.
+fn finish_frame(
     frame: Frame,
     stats: ExecStats,
     schema_cache: Option<&OnceLock<SchemaRef>>,
@@ -1198,15 +779,9 @@ pub(crate) fn finish_frame(
     Ok(SelectOutput { rows, stats })
 }
 
-/// How [`Database::scan_node`] should execute one scan, as chosen by the
-/// caller. The tree-walking interpreter always passes [`ScanKernel::Auto`]
-/// (decide per execute — the historical behavior); the bytecode VM makes
-/// the decision once at plan-compile time and passes [`ScanKernel::Vector`]
-/// (with the pre-compiled kernel, or `None` for an unfiltered columnar
-/// sweep) or [`ScanKernel::Row`].
+/// How [`Database::scan_table`] executes one scan, as the bytecode VM
+/// decided at plan-compile time.
 pub(crate) enum ScanKernel<'a> {
-    /// Decide per execute from the probe/limit/config and the filter shape.
-    Auto,
     /// Take the vectorized columnar path with this pre-compiled kernel
     /// (`None`: no filter, every row survives).
     Vector(Option<&'a ColKernel>),
@@ -1222,11 +797,10 @@ pub(crate) const SCAN_BATCH: usize = 1024;
 /// A pushed scan filter compiled against the chunk column layout. Only
 /// shapes whose batch evaluation is *infallible* are representable:
 /// comparisons between one column and one constant (bind parameters are
-/// resolved to constants at compile time), closed under AND/OR/NOT.
-/// Everything else — column-to-column comparisons, unresolved names,
-/// unbound parameters, sub-queries, bare literals — declines to compile,
-/// and the scan falls back to the row-at-a-time path, which owns the
-/// error reporting for those cases.
+/// substituted per execute), closed under AND/OR/NOT. Everything else —
+/// column-to-column comparisons, unresolved names, unbound parameters,
+/// sub-queries, bare literals — keeps the scan on the row-at-a-time
+/// path, which owns the error reporting for those cases.
 #[derive(Debug)]
 pub(crate) enum ColKernel {
     /// `column <op> constant`; constants on the left arrive here with the
@@ -1239,53 +813,6 @@ pub(crate) enum ColKernel {
     And(Vec<ColKernel>),
     Or(Vec<ColKernel>),
     Not(Box<ColKernel>),
-}
-
-enum KernelOperand {
-    Col(usize),
-    Const(Value),
-}
-
-fn kernel_operand(e: &SqlExpr, shell: &Frame, params: &Params) -> Option<KernelOperand> {
-    match e {
-        SqlExpr::Column { qualifier, name } => {
-            shell.resolve(qualifier.as_ref(), name).map(KernelOperand::Col)
-        }
-        SqlExpr::Lit(v) => Some(KernelOperand::Const(v.clone())),
-        SqlExpr::Param(p) => params.get(p).cloned().map(KernelOperand::Const),
-        _ => None,
-    }
-}
-
-/// Compiles a pushed filter into a [`ColKernel`] against the scan's column
-/// layout (`shell` carries the raw row plus rowid). `None` means "use the
-/// row path".
-pub(crate) fn compile_kernel(e: &SqlExpr, shell: &Frame, params: &Params) -> Option<ColKernel> {
-    match e {
-        SqlExpr::Cmp(a, op, b) => {
-            match (kernel_operand(a, shell, params)?, kernel_operand(b, shell, params)?) {
-                (KernelOperand::Col(pos), KernelOperand::Const(rhs)) => {
-                    Some(ColKernel::Cmp { pos, op: *op, rhs })
-                }
-                (KernelOperand::Const(rhs), KernelOperand::Col(pos)) => {
-                    Some(ColKernel::Cmp { pos, op: op.flip(), rhs })
-                }
-                _ => None,
-            }
-        }
-        SqlExpr::And(ps) if !ps.is_empty() => {
-            let parts: Vec<ColKernel> =
-                ps.iter().map(|p| compile_kernel(p, shell, params)).collect::<Option<_>>()?;
-            Some(ColKernel::And(parts))
-        }
-        SqlExpr::Or(ps) if !ps.is_empty() => {
-            let parts: Vec<ColKernel> =
-                ps.iter().map(|p| compile_kernel(p, shell, params)).collect::<Option<_>>()?;
-            Some(ColKernel::Or(parts))
-        }
-        SqlExpr::Not(x) => Some(ColKernel::Not(Box::new(compile_kernel(x, shell, params)?))),
-        _ => None,
-    }
 }
 
 /// Evaluates a kernel over `mask.len()` rows of `chunk` starting at

@@ -125,7 +125,7 @@ pub struct ExecStats {
     /// Wall-clock time spent planning (or resolving a cached plan) for
     /// this call.
     pub plan_ns: u64,
-    /// Wall-clock time spent interpreting the plan for this call.
+    /// Wall-clock time spent running the plan for this call.
     pub exec_ns: u64,
 }
 
@@ -328,7 +328,7 @@ fn join_cols(
 /// A join's layouts precomputed at plan-compile time: what [`join_cols`]
 /// re-derives (three column-vector clones) on every execute. The bytecode
 /// VM builds one per join step whenever both input layouts are
-/// compile-time facts; the interpreter always passes `None`.
+/// compile-time facts, and passes `None` otherwise.
 #[derive(Debug)]
 pub(crate) struct JoinLayout {
     /// The join's output columns (the concatenated pair, or the fused
@@ -498,10 +498,10 @@ pub(crate) fn sort_positions(mut frame: Frame, keys: &[(usize, bool)]) -> Frame 
     frame
 }
 
-/// Grouped hash aggregation — the `GROUP BY` operator shared by the plan
-/// interpreter and the bytecode VM. One output row per distinct key tuple,
-/// in first-occurrence key order: the TOR `Group` axiom order, which is
-/// also the iteration order of the kernel's map-accumulator loops.
+/// Grouped hash aggregation — the bytecode VM's `GROUP BY` operator. One
+/// output row per distinct key tuple, in first-occurrence key order: the
+/// TOR `Group` axiom order, which is also the iteration order of the
+/// kernel's map-accumulator loops.
 ///
 /// Runs in two columnar passes over the materialized input. Pass one
 /// assigns each row a group id (keys resolve to column positions up

@@ -10,9 +10,9 @@
 //! Planning happens **once**: [`plan`]/[`plan_with`] compute a
 //! [`PhysicalPlan`] (pushdown, index probes, join keys, join order,
 //! cardinality estimates, `IN`-subquery hoisting), [`explain`] renders that
-//! IR as a [`Plan`] summary, and [`Database::execute_plan`] interprets it —
-//! the summary cannot diverge from execution because both consume the same
-//! value.
+//! IR as a [`Plan`] summary, and [`Database::execute_plan`] compiles it to
+//! bytecode and runs it — the summary cannot diverge from execution
+//! because both consume the same value.
 //!
 //! Two properties matter for reproducing the paper:
 //!

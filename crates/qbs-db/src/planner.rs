@@ -4,7 +4,7 @@
 //! pushdown, index selection, equi-join key extraction, greedy join
 //! ordering, cardinality estimation — and records the result as a
 //! [`PhysicalPlan`]. [`explain`] is a cheap rendering of that IR and
-//! `Database::execute_select` interprets it; because both sides consume the
+//! `Database::execute_select` runs it; because both sides consume the
 //! same value there is no second planning pass that could diverge from the
 //! executor (the pre-IR `explain()` re-derived the decisions by hand and,
 //! for example, counted one index scan per pushed equality predicate while
@@ -40,11 +40,6 @@ pub struct PlanConfig {
     /// both executors observationally identical. Never enable it for
     /// production execution.
     pub force_row_store: bool,
-    /// Force plan execution onto the tree-walking interpreter instead of
-    /// the compiled bytecode VM. The equivalence suite uses this to prove
-    /// the VM observationally identical to the interpreter. Never enable
-    /// it for production execution.
-    pub force_interpreter: bool,
 }
 
 /// An index probe: `column = value` answered by a hash index.
@@ -207,9 +202,10 @@ impl AggregateNode {
 
 /// The physical plan: every decision the executor will take, computed once.
 ///
-/// `explain()` renders it into a [`Plan`] summary; `Database::execute_plan`
-/// interprets it. The struct clones the query's projection/ordering clauses
-/// so the interpreter needs no access to the original `SqlSelect`.
+/// `explain()` renders it into a [`Plan`] summary; the bytecode VM compiles
+/// and runs it (`Database::execute_plan`). The struct clones the query's
+/// projection/ordering clauses so the executor needs no access to the
+/// original `SqlSelect`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalPlan {
     /// Scans in execution (join) order — reordered when permitted.
@@ -248,9 +244,9 @@ pub struct PhysicalPlan {
     /// of those keys is the identity.
     pub sort_elided: bool,
     /// The projection resolved at plan time against the joined layout:
-    /// output columns plus their positions. `None` falls back to per-call
-    /// resolution (and its runtime errors) when a column cannot be
-    /// resolved statically.
+    /// output columns plus their positions. `None` when a select item
+    /// does not resolve; such a plan fails to compile, with the
+    /// unresolved item named in the error.
     pub projection: Option<(Vec<FrameCol>, Vec<usize>)>,
 }
 
@@ -408,7 +404,7 @@ fn count_subquery_preds(e: &SqlExpr) -> usize {
 
 /// [`count_subquery_preds`] over a whole `SELECT`: its `WHERE` clause plus
 /// the clauses of its `FROM` sub-queries (their predicate sub-queries also
-/// run through the shared hoisting cache when the plan is interpreted).
+/// run through the shared hoisting cache when the plan runs).
 fn count_select_preds(q: &SqlSelect) -> usize {
     q.where_clause.as_ref().map(count_subquery_preds).unwrap_or(0)
         + q.from
@@ -538,7 +534,7 @@ fn estimate_table(
 ///
 /// Pushdown classification, index selection, join-key extraction, join
 /// ordering and cardinality estimation all happen here — `explain` renders
-/// the result, `Database::execute_plan` interprets it.
+/// the result, `Database::execute_plan` runs it.
 pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> PhysicalPlan {
     let mut remaining: Vec<SqlExpr> =
         q.where_clause.as_ref().map(conjuncts).unwrap_or_default();
@@ -877,7 +873,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
     }
 
     // Column-batch metadata: record which positions of each scan's layout
-    // a vectorized interpretation touches — the emitted columns plus the
+    // a vectorized scan touches — the emitted columns plus the
     // pushed filter's references. Computed after pruning so `emit` is
     // final.
     for scan in &mut scans {
@@ -1090,7 +1086,7 @@ pub fn plan(q: &SqlSelect, db: &crate::Database) -> PhysicalPlan {
 
 /// Computes the plan summary for a query against the given database — a
 /// rendering of the *same* [`PhysicalPlan`] that
-/// [`Database::execute_select`](crate::Database::execute_select) interprets.
+/// [`Database::execute_select`](crate::Database::execute_select) runs.
 pub fn explain(q: &SqlSelect, db: &crate::Database) -> Plan {
     plan(q, db).summary()
 }

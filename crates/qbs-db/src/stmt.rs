@@ -51,16 +51,16 @@ pub(crate) fn snapshot(db: &Database, tables: &BTreeSet<Ident>) -> Snapshot {
 /// can never pair a new plan with an old snapshot (or vice versa).
 ///
 /// The compiled bytecode program rides in the same value: it is compiled
-/// lazily from `plan` on the first execution (`None` inside the cell
-/// records "the VM declined this shape" so the interpreter is used
-/// without re-attempting compilation), and because a replan replaces the
-/// whole `PlanState`, the program can never outlive the plan it was
-/// compiled from — the same generation counters invalidate both.
+/// lazily from `plan` on the first execution (an `Err` inside the cell
+/// records a plan that cannot run, so every execution reports the same
+/// error without recompiling), and because a replan replaces the whole
+/// `PlanState`, the program can never outlive the plan it was compiled
+/// from — the same generation counters invalidate both.
 #[derive(Debug)]
 pub(crate) struct PlanState {
     pub(crate) plan: Arc<PhysicalPlan>,
     pub(crate) snapshot: Snapshot,
-    pub(crate) program: OnceLock<Option<Arc<crate::vm::PlanProgram>>>,
+    pub(crate) program: OnceLock<Result<Arc<crate::vm::PlanProgram>, DbError>>,
 }
 
 impl PlanState {
@@ -76,7 +76,6 @@ pub(crate) fn fingerprint(canonical: &str, config: &PlanConfig) -> u64 {
     canonical.hash(&mut h);
     config.reorder_joins.hash(&mut h);
     config.force_row_store.hash(&mut h);
-    config.force_interpreter.hash(&mut h);
     h.finish()
 }
 

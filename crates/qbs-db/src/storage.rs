@@ -13,7 +13,7 @@
 //!
 //! Chunks are **columnar**: each chunk stores one typed vector per schema
 //! column ([`ColumnVec`]) instead of a row-major `Vec<Vec<Value>>`. The
-//! plan interpreter runs pushed filters and join-key extraction directly
+//! plan executor runs pushed filters and join-key extraction directly
 //! over these column slices in batches, stitching full rows only at
 //! projection time; row-at-a-time readers go through
 //! [`Table::rows`] / [`Table::row`], which materialize owned rows on

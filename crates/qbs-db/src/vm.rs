@@ -1,41 +1,41 @@
 //! The plan bytecode VM: [`PhysicalPlan`] lowered to a straight-line
-//! register program, executed by one dispatch loop.
+//! register program, executed by one dispatch loop. It is the only way a
+//! plan runs: prepared statements, one-shot `Database::execute*` calls,
+//! FROM and hoisted `IN` sub-queries, and EXPLAIN ANALYZE all go through
+//! [`PlanProgram::run`].
 //!
-//! The tree-walking interpreter ([`Database::execute_plan_with`] and
-//! friends) re-derives a pile of per-execute decisions every call: the
-//! LIMIT/OFFSET shapes, whether the limit can be pushed into the scan,
-//! whether the projection fuses into the last operator, whether each scan
-//! takes the vectorized columnar path, and — most expensively — the
-//! [`ColKernel`] compilation of every pushed filter. All of those are
-//! functions of the plan and the config alone, so [`compile_plan`] runs
-//! them once and records the answers in a [`PlanProgram`]: a flat
-//! [`Program`] of operator-granularity [`PlanOp`]s over frame registers,
-//! plus the pre-resolved scan kernels, join strategies, and paging shape.
-//! [`PlanProgram::run`] is then a single `for`-loop over opcodes whose
-//! data work delegates to the *same* executor primitives the interpreter
-//! uses (`scan_node`, `hash_join`, `filter`, `sort`, `distinct`), so rows
-//! and [`ExecStats`] are identical by construction.
+//! [`compile_plan`] makes every decision that is a function of the plan
+//! and the config alone, once: the LIMIT/OFFSET shapes, whether the limit
+//! can be pushed into the scan, whether the projection fuses into the last
+//! operator, whether each scan takes the vectorized columnar path and the
+//! [`ColKernel`] of its pushed filter (bind parameters left symbolic), the
+//! join strategies and layouts, the ORDER BY key positions, and the child
+//! programs of FROM sub-queries. The result is a [`PlanProgram`]: a flat
+//! [`Program`] of operator-granularity [`PlanOp`]s over frame registers.
+//! [`PlanProgram::run`] is one `for`-loop over the opcodes; the data work
+//! lives in the executor primitives (`scan_table`, `hash_join`, `filter`,
+//! `sort`, `distinct`).
 //!
-//! Compilation declines (returns `None`) for the shapes whose execution
-//! is dynamic by nature — no `FROM`, an unresolved projection, a
-//! non-constant non-parameter LIMIT/OFFSET — and for
-//! [`PlanConfig::force_interpreter`] (handled by the callers); those
-//! statements keep the interpreter, which stays the differential
-//! baseline for the oracle and the equivalence suite.
+//! Compilation never declines. A plan the VM cannot run — no `FROM`, a
+//! projection the planner could not resolve, a LIMIT/OFFSET that is
+//! neither a constant nor a parameter — is a [`DbError`] at compile time.
+//!
+//! With `Some(&mut PlanActuals)` the run reads two clocks around every
+//! operator and records its rows and time (EXPLAIN ANALYZE); with `None`
+//! the cost is one branch per opcode.
 //!
 //! Per-opcode dispatch counts and compile times land in this crate's
 //! [`vm_metrics`] registry (`vm.dispatch.<op>`, `vm.compile_ns`,
 //! `vm.compile.plans`, `vm.compile.kernels`).
 
-use crate::db::{
-    finish_frame, ColKernel, Database, DbError, Params, ScanKernel, SelectOutput, SubqueryState,
-};
+use crate::analyze::{OpActuals, PlanActuals, ScanActuals};
+use crate::db::{ColKernel, Database, DbError, Params, ScanKernel, SubqueryState};
 use crate::exec::{
-    self, distinct, filter, hash_join, nested_loop_join, sort, sort_positions, EvalCtx,
-    ExecStats, Frame, FrameCol, JoinLayout,
+    self, distinct, filter, hash_join, nested_loop_join, sort, sort_positions, ExecStats,
+    Frame, FrameCol, JoinLayout,
 };
-use crate::planner::{JoinAlgorithm, PhysicalPlan, PlanConfig, ScanSource};
-use qbs_common::{Ident, OpCode, Program, SchemaRef, Value};
+use crate::planner::{JoinAlgorithm, PhysicalPlan, PlanConfig, ScanNode, ScanSource};
+use qbs_common::{Ident, OpCode, Program, Value};
 use qbs_obs::{Counter, Histogram, Metrics};
 use qbs_sql::SqlExpr;
 use qbs_tor::CmpOp;
@@ -102,9 +102,8 @@ impl OpCode for PlanOp {
     }
 }
 
-/// A LIMIT/OFFSET operand with its shape resolved at compile time. Only
-/// the shapes the interpreter supports are representable; anything else
-/// declines compilation (and the interpreter owns the runtime error).
+/// A LIMIT/OFFSET operand with its shape resolved at compile time: a
+/// constant or a bind parameter. Any other expression fails compilation.
 #[derive(Clone, Debug)]
 enum PageParam {
     Absent,
@@ -113,12 +112,13 @@ enum PageParam {
 }
 
 impl PageParam {
-    fn of(e: Option<&SqlExpr>) -> Option<PageParam> {
+    /// `what` names the clause (`LIMIT`/`OFFSET`) in the error.
+    fn of(e: Option<&SqlExpr>, what: &str) -> Result<PageParam, DbError> {
         match e {
-            None => Some(PageParam::Absent),
-            Some(SqlExpr::Lit(Value::Int(n))) => Some(PageParam::Const((*n).max(0) as usize)),
-            Some(SqlExpr::Param(p)) => Some(PageParam::Param(p.clone())),
-            Some(_) => None,
+            None => Ok(PageParam::Absent),
+            Some(SqlExpr::Lit(Value::Int(n))) => Ok(PageParam::Const((*n).max(0) as usize)),
+            Some(SqlExpr::Param(p)) => Ok(PageParam::Param(p.clone())),
+            Some(other) => Err(DbError::Exec(format!("unsupported {what} {other:?}"))),
         }
     }
 
@@ -127,8 +127,7 @@ impl PageParam {
     }
 
     /// Resolves against this execution's bindings. `what` names the
-    /// clause in the unbound-parameter error, matching the interpreter's
-    /// message exactly.
+    /// clause in the unbound-parameter error.
     fn resolve(&self, params: &Params, what: &str) -> Result<Option<usize>, DbError> {
         match self {
             PageParam::Absent => Ok(None),
@@ -144,23 +143,43 @@ impl PageParam {
     }
 }
 
-/// The scan strategy chosen at compile time for one scan node — what the
-/// interpreter re-decides (and re-compiles) on every execute.
+/// The scan strategy chosen at compile time for one scan node.
 #[derive(Debug)]
 pub(crate) enum KernelChoice {
     /// Vectorized, no filter: every row survives.
     AllRows,
-    /// Vectorized with a fully compiled, parameter-free kernel — compiled
-    /// once here instead of once per execute.
+    /// Vectorized with a fully compiled, parameter-free kernel.
     Ready(ColKernel),
     /// Vectorized filter whose comparisons reference bind parameters:
     /// columns are resolved, only the parameter values are substituted
     /// per execute. An unbound parameter falls back to the row path,
-    /// exactly as the interpreter's per-execute compilation would.
+    /// which reports it.
     Template(KernelTemplate),
     /// Row-at-a-time (probe, pushed limit, `force_row_store`, or a filter
     /// outside the kernel grammar).
     Row,
+    /// A FROM sub-query: its plan, compiled together with this one.
+    Subquery(Box<PlanProgram>),
+}
+
+impl KernelChoice {
+    /// The table-scan strategy for this execution's bindings; an
+    /// instantiated template kernel lives in `slot`.
+    fn scan_kernel<'a>(
+        &'a self,
+        params: &Params,
+        slot: &'a mut Option<ColKernel>,
+    ) -> ScanKernel<'a> {
+        match self {
+            KernelChoice::AllRows => ScanKernel::Vector(None),
+            KernelChoice::Ready(k) => ScanKernel::Vector(Some(k)),
+            KernelChoice::Template(t) => match t.instantiate(params) {
+                Some(k) => ScanKernel::Vector(Some(slot.insert(k))),
+                None => ScanKernel::Row,
+            },
+            KernelChoice::Row | KernelChoice::Subquery(_) => ScanKernel::Row,
+        }
+    }
 }
 
 /// A [`ColKernel`] with parameter references left symbolic.
@@ -190,8 +209,8 @@ impl KernelTemplate {
     }
 
     /// Substitutes this execution's bindings; `None` (some parameter is
-    /// unbound) means "use the row path", matching what the interpreter's
-    /// per-execute [`compile_kernel`](crate::db::compile_kernel) would decide.
+    /// unbound) means "use the row path", which owns the unbound-parameter
+    /// error.
     fn instantiate(&self, params: &Params) -> Option<ColKernel> {
         match self {
             KernelTemplate::Cmp { pos, op, rhs } => {
@@ -235,9 +254,10 @@ fn template_operand(e: &SqlExpr, shell: &Frame) -> Option<TemplateOperand> {
     }
 }
 
-/// [`compile_kernel`](crate::db::compile_kernel) with bind parameters kept symbolic: the grammar is
-/// identical (column-vs-constant comparisons under AND/OR/NOT), so any
-/// filter this declines would also keep the interpreter on the row path.
+/// Compiles a pushed filter against the scan's column layout (`shell`
+/// carries the raw row plus rowid), bind parameters kept symbolic. The
+/// grammar is column-vs-constant comparisons under AND/OR/NOT; `None`
+/// keeps the scan on the row path.
 fn compile_template(e: &SqlExpr, shell: &Frame) -> Option<KernelTemplate> {
     match e {
         SqlExpr::Cmp(a, op, b) => {
@@ -276,12 +296,11 @@ fn compile_template(e: &SqlExpr, shell: &Frame) -> Option<KernelTemplate> {
 #[derive(Clone, Debug)]
 enum SortSpec {
     /// Every key is a plain column resolved against the pre-sort layout:
-    /// rows sort in place comparing key positions, skipping the
-    /// interpreter's per-row key evaluation and decoration.
+    /// rows sort in place comparing key positions, with no per-row key
+    /// evaluation.
     Cols(Vec<(usize, bool)>),
-    /// Fallback for computed or unresolvable keys: the interpreter's
-    /// decorate-and-sort, with the key expressions pre-cloned (and any
-    /// evaluation error surfacing exactly as the interpreter's would).
+    /// Fallback for computed or unresolvable keys: decorate-and-sort on
+    /// the evaluated key expressions (which report evaluation errors).
     Exprs(Vec<(SqlExpr, bool)>),
 }
 
@@ -296,9 +315,9 @@ enum JoinSpec {
     Loop,
 }
 
-/// A compiled plan: the opcode vector plus everything the interpreter
-/// used to re-derive per execute. Cached on `PreparedStatement` next to
-/// the plan it was compiled from and invalidated with it.
+/// A compiled plan: the opcode vector plus every per-plan decision the
+/// run needs. Cached on `PreparedStatement` next to the plan it was
+/// compiled from and invalidated with it.
 #[derive(Debug)]
 pub struct PlanProgram {
     plan: Arc<PhysicalPlan>,
@@ -334,184 +353,258 @@ impl PlanProgram {
         self.code.is_empty()
     }
 
-    /// Executes the program against `db`. One loop, no tree walking: every
-    /// opcode's data work calls the same executor primitive the
-    /// interpreter would, so rows and [`ExecStats`] match it exactly.
-    #[allow(clippy::too_many_arguments)] // mirrors the interpreter's internal plumbing
+    /// The plan this program was compiled from.
+    pub(crate) fn plan(&self) -> &Arc<PhysicalPlan> {
+        &self.plan
+    }
+
+    /// The statically resolved projection (compilation fails without one).
+    fn projection(&self) -> &(Vec<FrameCol>, Vec<usize>) {
+        self.plan.projection.as_ref().expect("compiled plans have projections")
+    }
+
+    /// Executes the program against `db` and returns the output frame,
+    /// with sub-query hoisting wired into the evaluation context (see
+    /// [`Database::with_hoisting`]). One loop over the opcodes, no tree
+    /// walking.
+    ///
+    /// With `actuals`, every operator's output rows and wall-clock time
+    /// are recorded (the EXPLAIN ANALYZE path); with `None` no per-op
+    /// clock is read. Nested programs (FROM sub-queries, hoisted `IN`
+    /// sub-queries) are never instrumented — their work shows up in the
+    /// enclosing operator's figures.
     pub(crate) fn run(
         &self,
         db: &Database,
         params: &Params,
-        ctx: &EvalCtx<'_>,
         stats: &mut ExecStats,
         shared: &SubqueryState,
         version: u64,
+        mut actuals: Option<&mut PlanActuals>,
     ) -> Result<Frame, DbError> {
-        let plan = &*self.plan;
-        let limit_n = self.limit.resolve(params, "LIMIT")?;
-        let offset_n = self.offset.resolve(params, "OFFSET")?.unwrap_or(0);
-        let scan_limit =
-            if self.scan_limit { limit_n.map(|n| n.saturating_add(offset_n)) } else { None };
-        let scan_emit = if self.scan_emit {
-            Some(plan.projection.as_ref().expect("compiled plans have projections"))
-        } else {
-            None
-        };
+        db.with_hoisting(params, stats, shared, version, |ctx, stats| {
+            let plan = &*self.plan;
+            let limit_n = self.limit.resolve(params, "LIMIT")?;
+            let offset_n = self.offset.resolve(params, "OFFSET")?.unwrap_or(0);
+            // An OFFSET widens the prefix a pushed scan must produce: the
+            // first `offset` keepers are dropped again by `PageEarly`.
+            let scan_limit = if self.scan_limit {
+                limit_n.map(|n| n.saturating_add(offset_n))
+            } else {
+                None
+            };
+            let scan_emit = self.scan_emit.then(|| self.projection());
 
-        // Registers live on the stack for the common arities; only
-        // wide-join programs pay a heap allocation per run.
-        let mut stack_regs: [Option<Frame>; 8] = Default::default();
-        let mut heap_regs: Vec<Option<Frame>>;
-        let regs: &mut [Option<Frame>] = if self.code.regs <= stack_regs.len() {
-            &mut stack_regs[..self.code.regs]
-        } else {
-            heap_regs = (0..self.code.regs).map(|_| None).collect();
-            &mut heap_regs
-        };
-        for op in &self.code.ops {
-            match op {
-                PlanOp::Scan { node, dst } => {
-                    let instantiated;
-                    let kernel = match &self.kernels[*node] {
-                        KernelChoice::Row => ScanKernel::Row,
-                        KernelChoice::AllRows => ScanKernel::Vector(None),
-                        KernelChoice::Ready(k) => ScanKernel::Vector(Some(k)),
-                        KernelChoice::Template(t) => match t.instantiate(params) {
-                            Some(k) => {
-                                instantiated = k;
-                                ScanKernel::Vector(Some(&instantiated))
+            // Registers live on the stack for the common arities; only
+            // wide-join programs pay a heap allocation per run.
+            let mut stack_regs: [Option<Frame>; 8] = Default::default();
+            let mut heap_regs: Vec<Option<Frame>>;
+            let regs: &mut [Option<Frame>] = if self.code.regs <= stack_regs.len() {
+                &mut stack_regs[..self.code.regs]
+            } else {
+                heap_regs = (0..self.code.regs).map(|_| None).collect();
+                &mut heap_regs
+            };
+            for op in &self.code.ops {
+                let opened = actuals.is_some().then(|| (Instant::now(), stats.rows_scanned));
+                match op {
+                    PlanOp::Scan { node, dst } => {
+                        let n = &plan.scans[*node];
+                        regs[*dst] = Some(match &self.kernels[*node] {
+                            KernelChoice::Subquery(child) => self.subquery_scan(
+                                child, n, db, params, ctx, stats, shared, version, scan_limit,
+                                scan_emit,
+                            )?,
+                            choice => {
+                                let mut instantiated = None;
+                                let kernel = choice.scan_kernel(params, &mut instantiated);
+                                db.scan_table(
+                                    n, params, ctx, stats, scan_limit, scan_emit, kernel,
+                                )?
                             }
-                            None => ScanKernel::Row,
-                        },
-                    };
-                    let frame = db.scan_node(
-                        &plan.scans[*node],
-                        params,
-                        ctx,
-                        stats,
-                        shared,
-                        version,
-                        scan_limit,
-                        scan_emit,
-                        kernel,
-                    )?;
-                    regs[*dst] = Some(frame);
-                }
-                PlanOp::Join { step, left, right, dst, emit } => {
-                    let s = &plan.joins[*step];
-                    let l = regs[*left].take().expect("left operand scanned");
-                    let r = regs[*right].take().expect("right operand scanned");
-                    let emit = (*emit)
-                        .then(|| plan.projection.as_ref().expect("compiled plans project"));
-                    let layout = self.join_layouts[*step].as_ref();
-                    let out = match &self.joins[*step] {
-                        JoinSpec::HashIdx(li, ri) => hash_join(
-                            l,
-                            r,
-                            exec::JoinKey::Idx(*li),
-                            exec::JoinKey::Idx(*ri),
-                            s.residual.as_ref(),
-                            emit,
-                            layout,
-                            ctx,
-                            stats,
-                        )?,
-                        JoinSpec::HashExpr => {
-                            let (lk, rk) = s.key.as_ref().expect("hash join keyed");
-                            hash_join(
+                        });
+                    }
+                    PlanOp::Join { step, left, right, dst, emit } => {
+                        let s = &plan.joins[*step];
+                        let l = regs[*left].take().expect("left operand scanned");
+                        let r = regs[*right].take().expect("right operand scanned");
+                        let emit = emit.then(|| self.projection());
+                        let layout = self.join_layouts[*step].as_ref();
+                        let out = match &self.joins[*step] {
+                            JoinSpec::HashIdx(li, ri) => hash_join(
                                 l,
                                 r,
-                                exec::JoinKey::Expr(lk),
-                                exec::JoinKey::Expr(rk),
+                                exec::JoinKey::Idx(*li),
+                                exec::JoinKey::Idx(*ri),
                                 s.residual.as_ref(),
                                 emit,
                                 layout,
                                 ctx,
                                 stats,
-                            )?
+                            )?,
+                            JoinSpec::HashExpr => {
+                                let (lk, rk) = s.key.as_ref().expect("hash join keyed");
+                                hash_join(
+                                    l,
+                                    r,
+                                    exec::JoinKey::Expr(lk),
+                                    exec::JoinKey::Expr(rk),
+                                    s.residual.as_ref(),
+                                    emit,
+                                    layout,
+                                    ctx,
+                                    stats,
+                                )?
+                            }
+                            JoinSpec::Loop => nested_loop_join(
+                                l,
+                                r,
+                                s.residual.as_ref(),
+                                emit,
+                                layout,
+                                ctx,
+                                stats,
+                            )?,
+                        };
+                        regs[*dst] = Some(out);
+                    }
+                    PlanOp::Residual { reg } => {
+                        let f = regs[*reg].take().expect("pipeline register filled");
+                        let pred =
+                            plan.residual.as_ref().expect("residual op implies predicate");
+                        regs[*reg] = Some(filter(f, pred, ctx)?);
+                    }
+                    PlanOp::Aggregate { reg } => {
+                        let f = regs[*reg].take().expect("pipeline register filled");
+                        let agg = plan.aggregate.as_ref().expect("aggregate op implies node");
+                        let mut out = exec::hash_aggregate(f, agg, ctx)?;
+                        if let Some(h) = &agg.having {
+                            out = filter(out, h, ctx)?;
                         }
-                        JoinSpec::Loop => nested_loop_join(
-                            l,
-                            r,
-                            s.residual.as_ref(),
-                            emit,
-                            layout,
-                            ctx,
-                            stats,
-                        )?,
-                    };
-                    regs[*dst] = Some(out);
-                }
-                PlanOp::Residual { reg } => {
-                    let f = regs[*reg].take().expect("pipeline register filled");
-                    let pred = plan.residual.as_ref().expect("residual op implies predicate");
-                    regs[*reg] = Some(filter(f, pred, ctx)?);
-                }
-                PlanOp::Aggregate { reg } => {
-                    let f = regs[*reg].take().expect("pipeline register filled");
-                    let agg = plan.aggregate.as_ref().expect("aggregate op implies node");
-                    let mut out = exec::hash_aggregate(f, agg, ctx)?;
-                    if let Some(h) = &agg.having {
-                        out = filter(out, h, ctx)?;
+                        regs[*reg] = Some(out);
                     }
-                    regs[*reg] = Some(out);
-                }
-                PlanOp::Sort { reg } => {
-                    let f = regs[*reg].take().expect("pipeline register filled");
-                    regs[*reg] = Some(match &self.sort {
-                        SortSpec::Cols(keys) => sort_positions(f, keys),
-                        SortSpec::Exprs(keys) => sort(f, keys, ctx)?,
-                    });
-                }
-                PlanOp::PageEarly { reg } | PlanOp::PageLate { reg } => {
-                    let f = regs[*reg].as_mut().expect("pipeline register filled");
-                    if offset_n > 0 {
-                        f.rows.drain(..offset_n.min(f.rows.len()));
+                    PlanOp::Sort { reg } => {
+                        let f = regs[*reg].take().expect("pipeline register filled");
+                        regs[*reg] = Some(match &self.sort {
+                            SortSpec::Cols(keys) => sort_positions(f, keys),
+                            SortSpec::Exprs(keys) => sort(f, keys, ctx)?,
+                        });
                     }
-                    if let Some(n) = limit_n {
-                        f.rows.truncate(n);
+                    PlanOp::PageEarly { reg } | PlanOp::PageLate { reg } => {
+                        let f = regs[*reg].as_mut().expect("pipeline register filled");
+                        if offset_n > 0 {
+                            f.rows.drain(..offset_n.min(f.rows.len()));
+                        }
+                        if let Some(n) = limit_n {
+                            f.rows.truncate(n);
+                        }
+                    }
+                    PlanOp::Project { reg } => {
+                        let f = regs[*reg].take().expect("pipeline register filled");
+                        regs[*reg] = Some(project(f, self.projection()));
+                    }
+                    PlanOp::Distinct { reg } => {
+                        let f = regs[*reg].take().expect("pipeline register filled");
+                        regs[*reg] = Some(distinct(f));
+                    }
+                    PlanOp::Ret { reg } => {
+                        let ins = instruments();
+                        for (i, n) in &self.dispatch_counts {
+                            ins.dispatch[*i].add(*n);
+                        }
+                        return Ok(regs[*reg].take().expect("pipeline register filled"));
                     }
                 }
-                PlanOp::Project { reg } => {
-                    let f = regs[*reg].take().expect("pipeline register filled");
-                    let (cols, idx) = plan.projection.as_ref().expect("compiled plans project");
-                    let rows = f
-                        .rows
-                        .into_iter()
-                        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-                        .collect();
-                    regs[*reg] = Some(Frame { cols: cols.clone(), rows });
-                }
-                PlanOp::Distinct { reg } => {
-                    let f = regs[*reg].take().expect("pipeline register filled");
-                    regs[*reg] = Some(distinct(f));
-                }
-                PlanOp::Ret { reg } => {
-                    let ins = instruments();
-                    for (i, n) in &self.dispatch_counts {
-                        ins.dispatch[*i].add(*n);
+                if let (Some(a), Some((opened, scanned))) = (actuals.as_deref_mut(), opened) {
+                    let elapsed_ns = opened.elapsed().as_nanos() as u64;
+                    let rows = |reg: &usize| regs[*reg].as_ref().map_or(0, |f| f.rows.len());
+                    let op_actuals =
+                        |reg: &usize| Some(OpActuals { rows_out: rows(reg), elapsed_ns });
+                    match op {
+                        PlanOp::Scan { node, dst } => a.scans.push(ScanActuals {
+                            rows_scanned: stats.rows_scanned - scanned,
+                            rows_out: rows(dst),
+                            elapsed_ns,
+                            via_index: plan.scans[*node].probe.is_some(),
+                        }),
+                        PlanOp::Join { dst, .. } => a.joins.extend(op_actuals(dst)),
+                        PlanOp::Residual { reg } => a.residual = op_actuals(reg),
+                        PlanOp::Aggregate { reg } => a.aggregate = op_actuals(reg),
+                        PlanOp::Sort { reg } => a.sort = op_actuals(reg),
+                        PlanOp::Distinct { reg } => a.distinct = op_actuals(reg),
+                        PlanOp::PageEarly { .. }
+                        | PlanOp::Project { .. }
+                        | PlanOp::PageLate { .. }
+                        | PlanOp::Ret { .. } => {}
                     }
-                    return Ok(regs[*reg].take().expect("pipeline register filled"));
                 }
             }
+            unreachable!("plan programs end with Ret")
+        })
+    }
+
+    /// A FROM sub-query scan: runs the child program, then applies the
+    /// scan's pushed filter, the pushed limit and the fused projection.
+    #[allow(clippy::too_many_arguments)] // the scan op's operands, passed through
+    fn subquery_scan(
+        &self,
+        child: &PlanProgram,
+        node: &ScanNode,
+        db: &Database,
+        params: &Params,
+        ctx: &exec::EvalCtx<'_>,
+        stats: &mut ExecStats,
+        shared: &SubqueryState,
+        version: u64,
+        limit: Option<usize>,
+        emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
+    ) -> Result<Frame, DbError> {
+        // Fresh counters for the inner program: `joins`/`used_index`
+        // describe the top-level statement (what `Plan::summary` renders),
+        // so only the row/comparison work is absorbed — the same contract
+        // as hoisted predicate sub-queries.
+        let mut inner_stats = ExecStats::default();
+        let inner = child.run(db, params, &mut inner_stats, shared, version, None)?;
+        stats.absorb_nested(&inner_stats);
+        let mut f = Frame { cols: node.cols.clone(), rows: inner.rows };
+        if let Some(pred) = &node.filter {
+            f = filter(f, pred, ctx)?;
         }
-        unreachable!("plan programs end with Ret")
+        if let Some(n) = limit {
+            f.rows.truncate(n);
+        }
+        Ok(match emit {
+            Some(projection) => project(f, projection),
+            None => f,
+        })
     }
 }
 
-/// Compiles a plan into a [`PlanProgram`], or `None` when the plan's
-/// shape needs the interpreter (no `FROM`, dynamic projection, or a
-/// LIMIT/OFFSET outside the constant/parameter shapes). Observes
-/// `vm.compile_ns` and the `vm.compile.*` counters.
+/// Gathers the projected columns of every row.
+fn project(f: Frame, (cols, idx): &(Vec<FrameCol>, Vec<usize>)) -> Frame {
+    let rows =
+        f.rows.into_iter().map(|r| idx.iter().map(|&i| r[i].clone()).collect()).collect();
+    Frame { cols: cols.clone(), rows }
+}
+
+/// Compiles a plan into a [`PlanProgram`]. Observes `vm.compile_ns` and
+/// the `vm.compile.*` counters.
+///
+/// # Errors
+///
+/// The plan cannot run: a LIMIT/OFFSET that is neither a constant nor a
+/// parameter, no `FROM`, or a select item the planner could not resolve
+/// (see [`projection_error`]). FROM sub-queries compile with their
+/// parent and fail it.
 pub(crate) fn compile_plan(
     plan: &Arc<PhysicalPlan>,
     config: &PlanConfig,
-) -> Option<PlanProgram> {
+) -> Result<PlanProgram, DbError> {
     let started = Instant::now();
     let built = build_program(plan, config);
     let ins = instruments();
     ins.compile_ns.observe(started.elapsed().as_nanos() as u64);
-    if let Some(p) = &built {
+    if let Ok(p) = &built {
         ins.compiled_plans.inc();
         let kernels = p
             .kernels
@@ -523,20 +616,53 @@ pub(crate) fn compile_plan(
     built
 }
 
-fn build_program(plan: &Arc<PhysicalPlan>, config: &PlanConfig) -> Option<PlanProgram> {
-    // "Query without FROM" and dynamically resolved projections keep the
-    // interpreter: the former is a runtime error it owns, the latter
-    // carries runtime resolution (and its errors) the VM does not model.
-    if plan.scans.is_empty() || plan.projection.is_none() {
-        return None;
+/// The error of a plan whose projection the planner could not resolve:
+/// the first select item that does not resolve against the layout the
+/// projection reads — the aggregate's output, or the concatenated scan
+/// layouts (unpruned, since pruning needs a resolved projection).
+fn projection_error(plan: &PhysicalPlan) -> DbError {
+    let layout: Vec<FrameCol> = match &plan.aggregate {
+        Some(agg) => agg.out_cols.clone(),
+        None => plan.scans.iter().flat_map(ScanNode::out_cols).collect(),
+    };
+    for (k, item) in plan.columns.iter().enumerate() {
+        match &item.expr {
+            SqlExpr::Column { qualifier, name } => {
+                if exec::resolve_cols(&layout, qualifier.as_ref(), name).is_none() {
+                    return DbError::Exec(format!("unresolved select column {name}"));
+                }
+            }
+            other => {
+                return DbError::Exec(format!(
+                    "unsupported select expression {other:?} at position {k}"
+                ))
+            }
+        }
     }
-    let limit = PageParam::of(plan.limit.as_ref())?;
-    let offset = PageParam::of(plan.offset.as_ref())?;
+    DbError::Exec("unresolved projection".to_string())
+}
 
-    // The same shape analyses the interpreter performs per execute, done
-    // once. `scan_limit` here records only whether the *shape* allows the
-    // pushdown; the pushed value still depends on this execution's
-    // bindings, resolved in `run`.
+fn build_program(
+    plan: &Arc<PhysicalPlan>,
+    config: &PlanConfig,
+) -> Result<PlanProgram, DbError> {
+    // Checked in the order the operators would hit them.
+    let limit = PageParam::of(plan.limit.as_ref(), "LIMIT")?;
+    let offset = PageParam::of(plan.offset.as_ref(), "OFFSET")?;
+    if plan.scans.is_empty() {
+        return Err(DbError::Exec("query without FROM".to_string()));
+    }
+    if plan.projection.is_none() {
+        return Err(projection_error(plan));
+    }
+
+    // `scan_limit` records only whether the *shape* allows pushing
+    // LIMIT+OFFSET into the scan (sound only when no later operator can
+    // reject or reorder rows); the pushed value depends on this
+    // execution's bindings, resolved in `run`. Projection fusion: with no
+    // operator between the last scan/join and the projection, the final
+    // operator materializes rows directly in output shape. An aggregate
+    // never fuses: its projection addresses the grouped output layout.
     let scan_limit = plan.scans.len() == 1
         && plan.joins.is_empty()
         && plan.residual.is_none()
@@ -550,18 +676,18 @@ fn build_program(plan: &Arc<PhysicalPlan>, config: &PlanConfig) -> Option<PlanPr
     // to a pushed value in that shape, so the choice is static.
     let pushes_limit = scan_limit && !limit.is_absent();
 
-    let kernels: Vec<KernelChoice> = plan
-        .scans
-        .iter()
-        .map(|node| {
-            if matches!(node.source, ScanSource::Subquery { .. })
-                || node.probe.is_some()
-                || pushes_limit
-                || config.force_row_store
+    let mut kernels: Vec<KernelChoice> = Vec::with_capacity(plan.scans.len());
+    for node in &plan.scans {
+        kernels.push(match &node.source {
+            ScanSource::Subquery { plan: inner } => KernelChoice::Subquery(Box::new(
+                build_program(&Arc::new((**inner).clone()), config)?,
+            )),
+            ScanSource::Table(_)
+                if node.probe.is_some() || pushes_limit || config.force_row_store =>
             {
-                return KernelChoice::Row;
+                KernelChoice::Row
             }
-            match &node.filter {
+            ScanSource::Table(_) => match &node.filter {
                 None => KernelChoice::AllRows,
                 Some(pred) => {
                     let shell = Frame::new(node.cols.clone());
@@ -574,9 +700,9 @@ fn build_program(plan: &Arc<PhysicalPlan>, config: &PlanConfig) -> Option<PlanPr
                         ),
                     }
                 }
-            }
-        })
-        .collect();
+            },
+        });
+    }
 
     let joins: Vec<JoinSpec> = plan
         .joins
@@ -595,7 +721,7 @@ fn build_program(plan: &Arc<PhysicalPlan>, config: &PlanConfig) -> Option<PlanPr
     // so each step's output/pair columns are compile-time facts — what
     // `join_cols` otherwise re-clones per execute. A subquery scan's
     // layout materializes at run time and keeps the per-execute path.
-    let scan_layout = |node: &crate::planner::ScanNode| match node.source {
+    let scan_layout = |node: &ScanNode| match node.source {
         ScanSource::Table(_) => Some(node.out_cols()),
         ScanSource::Subquery { .. } => None,
     };
@@ -663,7 +789,7 @@ fn build_program(plan: &Arc<PhysicalPlan>, config: &PlanConfig) -> Option<PlanPr
     for op in &ops {
         tally.record(op.index());
     }
-    Some(PlanProgram {
+    Ok(PlanProgram {
         plan: plan.clone(),
         code: Program { regs: plan.scans.len(), ops },
         kernels,
@@ -713,29 +839,6 @@ fn sort_spec(plan: &PhysicalPlan) -> SortSpec {
     SortSpec::Cols(keys)
 }
 
-impl Database {
-    /// Executes a compiled [`PlanProgram`] — the VM counterpart of
-    /// [`Database::execute_plan_cached`], sharing its hoisting scaffolding
-    /// and output materialization so the two paths differ only in how the
-    /// operator pipeline is driven.
-    pub(crate) fn execute_program(
-        &self,
-        prog: &PlanProgram,
-        params: &Params,
-        shared: &SubqueryState,
-        version: u64,
-        schema_cache: Option<&OnceLock<SchemaRef>>,
-    ) -> Result<SelectOutput, DbError> {
-        let mut stats = ExecStats::default();
-        let started = Instant::now();
-        let frame = self.with_hoisting(params, &mut stats, shared, version, |ctx, stats| {
-            prog.run(self, params, ctx, stats, shared, version)
-        })?;
-        stats.exec_ns = started.elapsed().as_nanos() as u64;
-        finish_frame(frame, stats, schema_cache)
-    }
-}
-
 /// The VM's metrics: one pre-registered handle per counter so the
 /// dispatch-loop flush is pure atomic adds (no name formatting or
 /// registry locking on the hot path).
@@ -775,6 +878,7 @@ pub fn vm_metrics() -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::SelectOutput;
     use crate::planner::plan_with;
     use qbs_common::{FieldType, Schema};
     use qbs_sql::parse_query;
@@ -806,7 +910,23 @@ mod tests {
 
     fn run_program(db: &Database, prog: &PlanProgram, params: &Params) -> SelectOutput {
         let shared = SubqueryState::new(PlanConfig::default());
-        db.execute_program(prog, params, &shared, 0, None).unwrap()
+        db.execute_program(prog, params, &shared, 0, None, None).unwrap()
+    }
+
+    /// The same plan compiled with row-at-a-time scans (`force_row_store`):
+    /// the scan interpreter the vectorized kernels are checked against.
+    fn run_row_store(db: &Database, plan: &Arc<PhysicalPlan>, params: &Params) -> SelectOutput {
+        let cfg = PlanConfig { force_row_store: true, ..PlanConfig::default() };
+        let prog = compile_plan(plan, &cfg).expect("row-store plans compile");
+        assert!(prog.kernels.iter().all(|k| matches!(k, KernelChoice::Row)));
+        run_program(db, &prog, params)
+    }
+
+    fn row_ints(out: &SelectOutput) -> Vec<Vec<i64>> {
+        out.rows
+            .iter()
+            .map(|r| (0..r.values().len()).map(|k| r.value_at(k).as_int().unwrap()).collect())
+            .collect()
     }
 
     #[test]
@@ -814,17 +934,20 @@ mod tests {
         let db = setup();
         let cfg = PlanConfig::default();
         let q = parse_query(
-            "SELECT users.id, roles.label FROM users, roles \
+            "SELECT users.id, roles.roleId FROM users, roles \
              WHERE users.roleId = roles.roleId AND users.id > 1",
         )
         .unwrap();
         let plan = Arc::new(plan_with(&q, &db, &cfg));
         let prog = compile_plan(&plan, &cfg).expect("join plans compile");
         let vm = run_program(&db, &prog, &Params::new());
-        let interp = db.execute_plan_with(&plan, &Params::new(), &cfg).unwrap();
+        let expected: Vec<Vec<i64>> = (2..8).map(|i| vec![i, i % 3]).collect();
+        assert_eq!(row_ints(&vm), expected);
+        assert_eq!(vm.stats.joins, vec!["hash"]);
+        assert_eq!(vm.stats.rows_scanned, 8 + 3);
+        let interp = run_row_store(&db, &plan, &Params::new());
         assert_eq!(vm.rows, interp.rows);
         assert_eq!(vm.stats, interp.stats);
-        assert_eq!(vm.stats.joins, vec!["hash"]);
     }
 
     #[test]
@@ -841,8 +964,18 @@ mod tests {
         let mut params = Params::new();
         params.insert("r".into(), Value::from(1));
         let vm = run_program(&db, &prog, &params);
-        let interp = db.execute_plan_with(&plan, &params, &cfg).unwrap();
+        assert_eq!(row_ints(&vm), vec![vec![1], vec![4], vec![7]]);
+        let interp = run_row_store(&db, &plan, &params);
         assert_eq!(vm, interp);
+        // Unbound, the template falls back to the row path, which names
+        // the parameter.
+        let err = run_program_err(&db, &prog);
+        assert_eq!(err, DbError::Exec("execution error: unbound parameter :r".to_string()));
+    }
+
+    fn run_program_err(db: &Database, prog: &PlanProgram) -> DbError {
+        let shared = SubqueryState::new(PlanConfig::default());
+        db.execute_program(prog, &Params::new(), &shared, 0, None, None).unwrap_err()
     }
 
     #[test]
@@ -858,36 +991,77 @@ mod tests {
         assert_eq!(vm.stats.rows_scanned, 2, "early exit preserved");
     }
 
+    /// The shapes the VM cannot run fail at compile time, with the error
+    /// execution used to raise.
     #[test]
     fn shapes_outside_the_vm_decline_to_compile() {
         let db = setup();
         let cfg = PlanConfig::default();
-        // LIMIT on a non-constant, non-parameter expression never plans
-        // from SQL text; emulate by clearing the projection instead.
-        let q = parse_query("SELECT id FROM users").unwrap();
-        let mut plan = plan_with(&q, &db, &cfg);
-        plan.projection = None;
-        assert!(compile_plan(&Arc::new(plan), &cfg).is_none());
+        let compile = |q: &qbs_sql::SqlSelect| {
+            compile_plan(&Arc::new(plan_with(q, &db, &cfg)), &cfg).map(|_| ()).unwrap_err()
+        };
+        let unresolved = parse_query("SELECT id, nosuch FROM users").unwrap();
+        assert_eq!(
+            compile(&unresolved),
+            DbError::Exec("unresolved select column nosuch".to_string())
+        );
+        let mut computed = parse_query("SELECT id FROM users").unwrap();
+        computed.columns[0].expr = SqlExpr::int(1);
+        assert!(compile(&computed).to_string().starts_with("unsupported select expression"));
+        let mut limited = parse_query("SELECT id FROM users").unwrap();
+        limited.limit = Some(SqlExpr::col("id"));
+        assert!(compile(&limited).to_string().starts_with("unsupported LIMIT"));
+        let mut offset = parse_query("SELECT id FROM users").unwrap();
+        offset.offset = Some(SqlExpr::col("id"));
+        assert!(compile(&offset).to_string().starts_with("unsupported OFFSET"));
+        let no_from = qbs_sql::SqlSelect::new(Vec::new(), Vec::new());
+        assert_eq!(compile(&no_from), DbError::Exec("query without FROM".to_string()));
+        // A FROM sub-query compiles with its parent and fails it.
+        let nested = qbs_sql::SqlSelect::new(
+            Vec::new(),
+            vec![qbs_sql::FromItem::Subquery {
+                query: Box::new(unresolved),
+                alias: "s".into(),
+            }],
+        );
+        assert_eq!(
+            compile(&nested),
+            DbError::Exec("unresolved select column nosuch".to_string())
+        );
     }
 
     #[test]
     fn compiled_group_by_matches_interpreter_rows_and_stats() {
         let db = setup();
         let cfg = PlanConfig::default();
-        for sql in [
-            "SELECT roleId, COUNT(*) FROM users GROUP BY roleId",
-            "SELECT roleId, SUM(id), MIN(id), MAX(id) FROM users GROUP BY roleId",
-            "SELECT roleId, COUNT(*) FROM users GROUP BY roleId HAVING SUM(id) > 5",
-            "SELECT roleId, SUM(id) FROM users GROUP BY roleId ORDER BY roleId DESC",
+        // users: ids 0..8 with roleId = id % 3.
+        for (sql, expected) in [
+            (
+                "SELECT roleId, COUNT(*) FROM users GROUP BY roleId",
+                vec![vec![0, 3], vec![1, 3], vec![2, 2]],
+            ),
+            (
+                "SELECT roleId, SUM(id), MIN(id), MAX(id) FROM users GROUP BY roleId",
+                vec![vec![0, 9, 0, 6], vec![1, 12, 1, 7], vec![2, 7, 2, 5]],
+            ),
+            (
+                "SELECT roleId, COUNT(*) FROM users GROUP BY roleId HAVING SUM(id) > 8",
+                vec![vec![0, 3], vec![1, 3]],
+            ),
+            (
+                "SELECT roleId, SUM(id) FROM users GROUP BY roleId ORDER BY roleId DESC",
+                vec![vec![2, 7], vec![1, 12], vec![0, 9]],
+            ),
         ] {
             let q = parse_query(sql).unwrap();
             let plan = Arc::new(plan_with(&q, &db, &cfg));
             let prog = compile_plan(&plan, &cfg).expect("grouped plans compile");
             let vm = run_program(&db, &prog, &Params::new());
-            let interp = db.execute_plan_with(&plan, &Params::new(), &cfg).unwrap();
+            assert_eq!(row_ints(&vm), expected, "{sql}");
+            assert_eq!(vm.stats.rows_scanned, 8, "{sql}");
+            let interp = run_row_store(&db, &plan, &Params::new());
             assert_eq!(vm.rows, interp.rows, "{sql}");
             assert_eq!(vm.stats, interp.stats, "{sql}");
-            assert!(!vm.rows.is_empty(), "{sql}");
         }
     }
 

@@ -488,8 +488,16 @@ fn exec_stmt(s: &KStmt, env: &mut Env, fuel: &mut u64) -> Result<()> {
 /// let out = run(&prog, Env::new()).unwrap();
 /// assert_eq!(out.result.as_int(), Some(42));
 /// ```
-pub fn run(prog: &KernelProgram, mut env: Env) -> Result<RunResult> {
-    let mut fuel = DEFAULT_FUEL;
+pub fn run(prog: &KernelProgram, env: Env) -> Result<RunResult> {
+    run_with_fuel(prog, env, DEFAULT_FUEL)
+}
+
+/// [`run`] under an explicit loop budget (tests exhaust a small one).
+pub(crate) fn run_with_fuel(
+    prog: &KernelProgram,
+    mut env: Env,
+    mut fuel: u64,
+) -> Result<RunResult> {
     exec_block(prog.body(), &mut env, &mut fuel)?;
     let result = env
         .get(prog.result_var())
@@ -735,6 +743,6 @@ mod tests {
             .stmt(KStmt::while_loop(KExpr::bool(true), vec![KStmt::Skip]))
             .result("out")
             .finish();
-        assert!(matches!(run(&prog, Env::new()), Err(InterpError::OutOfFuel)));
+        assert!(matches!(run_with_fuel(&prog, Env::new(), 1_000), Err(InterpError::OutOfFuel)));
     }
 }

@@ -454,9 +454,19 @@ impl CompiledProgram {
     ///
     /// Propagates any [`InterpError`], exactly as the interpreter
     /// raises it (same variant, same context strings).
-    pub fn run(&self, mut env: Env) -> Result<RunResult, InterpError> {
+    pub fn run(&self, env: Env) -> Result<RunResult, InterpError> {
+        self.run_with_fuel(env, DEFAULT_FUEL)
+    }
+
+    /// [`CompiledProgram::run`] under an explicit loop budget (tests
+    /// exhaust a small one).
+    pub(crate) fn run_with_fuel(
+        &self,
+        mut env: Env,
+        fuel: u64,
+    ) -> Result<RunResult, InterpError> {
         let mut tally = DispatchTally::new(KOp::NAMES.len());
-        let out = self.dispatch(&mut env, &mut tally);
+        let out = self.dispatch(&mut env, &mut tally, fuel);
         let ins = instruments();
         for (i, n) in tally.drain() {
             ins.dispatch[i].add(n);
@@ -469,10 +479,14 @@ impl CompiledProgram {
         Ok(RunResult { env, result })
     }
 
-    fn dispatch(&self, env: &mut Env, tally: &mut DispatchTally) -> Result<(), InterpError> {
+    fn dispatch(
+        &self,
+        env: &mut Env,
+        tally: &mut DispatchTally,
+        mut fuel: u64,
+    ) -> Result<(), InterpError> {
         let code = &self.code.ops;
         let mut stack: Vec<DynValue> = Vec::with_capacity(8);
-        let mut fuel = DEFAULT_FUEL;
         let mut pc = 0;
         while pc < code.len() {
             let op = &code[pc];
@@ -1014,11 +1028,15 @@ mod tests {
                 .result("out")
                 .finish(),
         ];
+        // A small loop budget: the fuel case exhausts it in microseconds.
         for prog in cases {
-            let vm = compile(&prog).run(Env::new());
-            let interp = run(&prog, Env::new());
+            let vm = compile(&prog).run_with_fuel(Env::new(), 1_000);
+            let interp = crate::interp::run_with_fuel(&prog, Env::new(), 1_000);
             assert_eq!(vm, interp, "divergence in `{}`", prog.name());
             assert!(vm.is_err());
+            if prog.name() == "fuel" {
+                assert_eq!(vm.unwrap_err(), InterpError::OutOfFuel);
+            }
         }
     }
 
@@ -1191,7 +1209,7 @@ mod tests {
         // `vm_metrics()` counter is shared with every test thread that
         // runs an `append`, so an exact delta on it races.
         let mut tally = DispatchTally::new(KOp::NAMES.len());
-        compiled.dispatch(&mut env.clone(), &mut tally).unwrap();
+        compiled.dispatch(&mut env.clone(), &mut tally, DEFAULT_FUEL).unwrap();
         let appends = tally.drain().find(|(i, _)| *i == append).map_or(0, |(_, n)| n);
         assert_eq!(appends, 2, "two appends in the selection loop");
         // `run` flushes its tally into the global counter, which other

@@ -13,8 +13,8 @@
 //! * an axiomatic evaluator ([`eval`]) implementing the Appendix C axioms,
 //!   shared by the bounded verifier and the differential tests;
 //! * type inference ([`infer_type`]) used by the synthesizer's enumerator;
-//! * algebraic equivalences (Thm. 2) and the [`trans`] normalization into
-//!   translatable expressions (Appendix B);
+//! * the [`trans`] normalization into translatable expressions (Appendix B),
+//!   which applies the sound Thm. 2 equivalences;
 //! * the [`order_fields`] function (paper Fig. 9) that computes the `ORDER BY`
 //!   list preserving nested record order.
 //!
@@ -35,7 +35,6 @@
 //! ```
 
 mod env;
-mod equiv;
 mod eval;
 mod expr;
 mod pred;
@@ -43,7 +42,6 @@ mod trans;
 mod ty;
 
 pub use env::{DynValue, Env};
-pub use equiv::normalize;
 pub use eval::{eval, EvalError};
 pub use expr::{AggKind, BinOp, CmpOp, GroupSpec, QuerySpec, TorExpr};
 pub use pred::{JoinAtom, JoinPred, Operand, Pred, PredAtom, Probe};

@@ -19,9 +19,9 @@
 //!
 //! Thm. 2 as printed includes `top_e(σ_φ(r)) = σ_φ(top_e(r))`, which does not
 //! hold for ordered lists (filtering after a limit is not limiting after a
-//! filter). We instead keep a selection applied to a `top` *outside* the
-//! limit by nesting the `top` as a sub-query base — still within the
-//! grammar, and semantics-preserving.
+//! filter), so that rewrite is omitted on purpose. A selection applied to a
+//! `top` stays *outside* the limit instead, by nesting the `top` as a
+//! sub-query base — still within the grammar, and semantics-preserving.
 
 use crate::expr::{AggKind, BinOp, CmpOp, GroupSpec, QuerySpec, TorExpr};
 use crate::pred::{Operand, Pred, PredAtom, Probe};

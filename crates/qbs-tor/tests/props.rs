@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use qbs_common::{FieldType, Record, Relation, Schema, SchemaRef, Value};
-use qbs_tor::{
-    eval, normalize, AggKind, CmpOp, DynValue, Env, JoinPred, Operand, Pred, TorExpr, TypeEnv,
-};
+use qbs_tor::{eval, AggKind, CmpOp, DynValue, Env, JoinPred, Operand, Pred, TorExpr};
 
 fn t_schema() -> SchemaRef {
     Schema::builder("t").field("a", FieldType::Int).field("b", FieldType::Int).finish()
@@ -34,13 +32,6 @@ fn env_with(r: Relation, s: Option<Relation>) -> Env {
         env.bind("s", s);
     }
     env
-}
-
-fn tenv() -> TypeEnv {
-    let mut t = TypeEnv::new();
-    t.bind_rel("r", t_schema());
-    t.bind_rel("s", u_schema());
-    t
 }
 
 fn pred_gt(field: &str, c: i64) -> Pred {
@@ -174,23 +165,6 @@ proptest! {
         prop_assert_eq!(max, vals.iter().copied().fold(i64::MIN, i64::max));
         let min = eval(&TorExpr::agg(AggKind::Min, col), &env).unwrap().as_int().unwrap();
         prop_assert_eq!(min, vals.iter().copied().fold(i64::MAX, i64::min));
-    }
-
-    /// normalize() preserves semantics on a family of nested shapes.
-    #[test]
-    fn normalize_preserves_semantics(rel in arb_rel(t_schema()), c1 in 0i64..4, c2 in 0i64..4, n in 0i64..8) {
-        let env = env_with(rel, None);
-        let shapes = vec![
-            TorExpr::select(pred_gt("a", c1), TorExpr::select(pred_gt("b", c2), TorExpr::var("r"))),
-            TorExpr::select(pred_gt("a", c1), TorExpr::proj(vec!["a".into(), "b".into()], TorExpr::var("r"))),
-            TorExpr::top(TorExpr::top(TorExpr::var("r"), TorExpr::int(n)), TorExpr::int(2)),
-            TorExpr::proj(vec!["a".into()], TorExpr::proj(vec!["b".into(), "a".into()], TorExpr::var("r"))),
-            TorExpr::select(pred_gt("b", c2), TorExpr::sort(vec!["a".into()], TorExpr::var("r"))),
-        ];
-        for e in shapes {
-            let norm = normalize(&e, &tenv());
-            assert_equiv(&e, &norm, &env);
-        }
     }
 
     /// sorting is stable: equal keys preserve input order.

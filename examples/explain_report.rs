@@ -3,6 +3,11 @@
 //! database (the one the EXPLAIN ANALYZE golden tests pin), aggregated
 //! into
 //!
+//! * the cost of instrumenting: the uninstrumented `exec_ns` of a plain
+//!   execution next to the instrumented `total_ns` and the sum of the
+//!   operator times, per query and in total (each side warmed by one run
+//!   first, on its own connection; single runs, so per-query figures are
+//!   noisy);
 //! * a per-operator time breakdown (scan / join / residual filter /
 //!   aggregate / sort / distinct), per query and in total;
 //! * the planner's estimate-vs-actual cardinality error distribution
@@ -16,7 +21,7 @@
 
 use qbs::FragmentStatus;
 use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner};
-use qbs_db::{Connection, Params};
+use qbs_db::{Connection, Params, QueryOutput};
 use qbs_obs::Metrics;
 
 /// Per-operator keys, in the order of [`op_ns`]'s result.
@@ -71,11 +76,15 @@ fn main() {
     report.record_metrics(&metrics);
 
     let db = qbs_corpus::populate_universe(1);
+    let plain = Connection::open(db.clone());
     let conn = Connection::open(db.clone());
     let params = Params::new();
 
     println!("EXPLAIN ANALYZE over the corpus (universe seed 1)");
-    print!("{:<24} {:>6} {:>10}", "method", "rows", "total_ns");
+    print!(
+        "{:<24} {:>6} {:>10} {:>10} {:>10}",
+        "method", "rows", "exec_ns", "total_ns", "ops_ns"
+    );
     for op in OPS {
         print!(" {op:>10}");
     }
@@ -83,7 +92,7 @@ fn main() {
 
     let mut queries = 0usize;
     let mut breakdown = [0u64; 6];
-    let mut total_ns = 0u64;
+    let (mut exec_ns, mut total_ns) = (0u64, 0u64);
     let (mut nodes, mut exact, mut within_2x) = (0usize, 0usize, 0usize);
     let mut worst = (1.0f64, String::new());
     for fr in &report.fragments {
@@ -93,10 +102,15 @@ fn main() {
         if db.execute(sql, &params).is_err() {
             continue;
         }
-        let stmt = conn.prepare(&sql.to_string()).expect("rendered corpus SQL re-parses");
-        // One production execution (the compiled plan path), then one
-        // instrumented one.
-        conn.execute(&stmt, &params).expect("executed above");
+        let text = sql.to_string();
+        let plain_stmt = plain.prepare(&text).expect("rendered corpus SQL re-parses");
+        let stmt = conn.prepare(&text).expect("rendered corpus SQL re-parses");
+        plain.execute(&plain_stmt, &params).expect("executed above");
+        conn.explain_analyze(&stmt, &params).expect("executed above");
+        let exec = match plain.execute(&plain_stmt, &params).expect("executed above") {
+            QueryOutput::Rows(out) => out.stats.exec_ns,
+            QueryOutput::Scalar { stats, .. } => stats.exec_ns,
+        };
         let analyzed = conn.explain_analyze(&stmt, &params).expect("executed above");
 
         for (label, est, actual) in analyzed.estimate_errors() {
@@ -111,21 +125,38 @@ fn main() {
 
         let a = &analyzed.actuals;
         let ns = op_ns(a);
-        print!("{:<24} {:>6} {:>10}", fr.method, a.output_rows, a.total_ns);
+        let ops: u64 = ns.iter().sum();
+        print!(
+            "{:<24} {:>6} {exec:>10} {:>10} {ops:>10}",
+            fr.method, a.output_rows, a.total_ns
+        );
         for (sum, n) in breakdown.iter_mut().zip(ns) {
             *sum += n;
             print!(" {n:>10}");
         }
         println!();
         queries += 1;
+        exec_ns += exec;
         total_ns += a.total_ns;
     }
 
-    print!("{:<24} {:>6} {total_ns:>10}", format!("total ({queries} queries)"), "");
+    let ops_ns: u64 = breakdown.iter().sum();
+    print!(
+        "{:<24} {:>6} {exec_ns:>10} {total_ns:>10} {ops_ns:>10}",
+        format!("total ({queries} queries)"),
+        ""
+    );
     for n in breakdown {
         print!(" {n:>10}");
     }
     println!();
+    let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+    println!(
+        "instrumented total_ns is {:.1}% of the uninstrumented exec_ns; \
+         operator times sum to {:.1}% of total_ns",
+        pct(total_ns, exec_ns),
+        pct(ops_ns, total_ns),
+    );
     println!();
     println!(
         "estimate errors: {nodes} nodes, {exact} exact, {within_2x} within 2x, \
@@ -139,9 +170,8 @@ fn main() {
     {
         println!("  {name:<28} {v}");
     }
-    // The production executions above ran the compiled plan path, so the
-    // plan side has live numbers; the kernel side reports whatever the
-    // corpus synthesis compiled.
+    // Every execution above ran on the plan VM, EXPLAIN ANALYZE included;
+    // the kernel side reports whatever the corpus synthesis compiled.
     print_vm("plan_vm", &qbs_db::vm_metrics());
     print_vm("kernel_vm", &qbs_kernel::vm_metrics());
 }

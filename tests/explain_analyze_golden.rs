@@ -4,29 +4,33 @@
 //! fixed universe seed the output is fully deterministic: plan shape,
 //! estimates, actual row counts, scan totals, and sub-query accounting.
 //! These tests pin that rendering for five fragments spanning the
-//! operator vocabulary — any planner, interpreter, or instrumentation
+//! operator vocabulary — any planner, executor, or instrumentation
 //! change that shifts what `explain_analyze` reports shows up as a
-//! golden diff here.
+//! golden diff here. A sixth test shows that `explain_analyze` measures
+//! the executor `execute` runs: the same counters, the same output.
 
 use qbs::FragmentStatus;
 use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner};
-use qbs_db::{Connection, Params};
-use qbs_sql::SqlQuery;
+use qbs_db::{Connection, Params, QueryOutput};
+use qbs_sql::{SelectItem, SqlQuery};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Synthesizes the whole Appendix A corpus and returns every translated
-/// fragment's `(method, sql)`.
-fn corpus_queries() -> Vec<(String, SqlQuery)> {
-    let report = BatchRunner::new(BatchConfig::new()).run(&corpus_inputs());
-    report
-        .fragments
-        .into_iter()
-        .filter_map(|fr| match fr.status {
-            FragmentStatus::Translated { sql, .. } => Some((fr.method, sql)),
-            _ => None,
-        })
-        .collect()
+/// Synthesizes the whole Appendix A corpus once and returns every
+/// translated fragment's `(method, sql)`.
+fn corpus_queries() -> &'static [(String, SqlQuery)] {
+    static QUERIES: OnceLock<Vec<(String, SqlQuery)>> = OnceLock::new();
+    QUERIES.get_or_init(|| {
+        let report = BatchRunner::new(BatchConfig::new()).run(&corpus_inputs());
+        report
+            .fragments
+            .into_iter()
+            .filter_map(|fr| match fr.status {
+                FragmentStatus::Translated { sql, .. } => Some((fr.method, sql)),
+                _ => None,
+            })
+            .collect()
+    })
 }
 
 /// Synthesizes the corpus once and returns each translated fragment's
@@ -39,7 +43,7 @@ fn renders() -> &'static BTreeMap<String, String> {
         let conn = Connection::open(db.clone());
         let params = Params::new();
         let mut out = BTreeMap::new();
-        for (method, sql) in &queries {
+        for (method, sql) in queries {
             if db.execute(sql, &params).is_err() {
                 continue;
             }
@@ -115,4 +119,42 @@ fn misestimate_is_visible_on_the_scan() {
          [actual 0 rows, scanned 96]\n\
          output: 0 rows; 96 scanned, 0 subqueries executed (0 cache hits)",
     );
+}
+
+/// For every corpus statement, EXPLAIN ANALYZE on one connection reports
+/// the counters a plain `execute` on another reports, and its output row
+/// count is the statement's (for a scalar, its relational core's).
+#[test]
+fn explain_analyze_matches_a_plain_execute() {
+    let db = qbs_corpus::populate_universe(1);
+    let params = Params::new();
+    let mut compared = 0;
+    for (method, sql) in corpus_queries() {
+        if db.execute(sql, &params).is_err() {
+            continue;
+        }
+        let plain = Connection::open(db.clone());
+        let analyzing = Connection::open(db.clone());
+        let stmt = plain.prepare_query(sql);
+        let out = plain.execute(&stmt, &params).expect("executed above");
+        let analyzed = analyzing
+            .explain_analyze(&analyzing.prepare_query(sql), &params)
+            .expect("executes");
+        let (stats, rows) = match out {
+            QueryOutput::Rows(out) => (out.stats, out.rows.len()),
+            QueryOutput::Scalar { stats, .. } => {
+                let SqlQuery::Scalar(s) = sql else { unreachable!() };
+                let mut core = s.query.clone();
+                if let Some(col) = &s.column {
+                    core.columns = vec![SelectItem { expr: col.clone(), alias: None }];
+                }
+                let core = db.execute_select(&core, &params).expect("core executes");
+                (stats, core.rows.len())
+            }
+        };
+        assert_eq!(analyzed.stats, stats, "{method}: counters differ");
+        assert_eq!(analyzed.actuals.output_rows, rows, "{method}: output rows differ");
+        compared += 1;
+    }
+    assert!(compared >= 30, "compared {compared} corpus statements");
 }

@@ -1,83 +1,12 @@
-//! Differential testing of the bytecode VMs against the tree-walking
-//! interpreters, on both oracle sides.
-//!
-//! * **Plan side** — every query executes through a default
-//!   [`Connection`] (plans compiled to `PlanProgram` bytecode) and a
-//!   `force_interpreter` connection (the tree-walking `run_plan`
-//!   baseline); rows, row order, and the observable [`ExecStats`]
-//!   counters must be indistinguishable, mirroring
-//!   `columnar_equivalence`.
-//! * **Kernel side** — every corpus kernel program runs through
-//!   [`qbs_kernel::compile`]'s stack VM and [`qbs_kernel::run`]; the
-//!   full [`RunResult`] (final environment *and* result value) and any
-//!   error must be identical.
+//! Differential testing of the kernel bytecode VM against the kernel
+//! interpreter: every corpus kernel program runs through
+//! [`qbs_kernel::compile`]'s stack VM and [`qbs_kernel::run`]; the full
+//! `RunResult` (final environment *and* result value) and any error must
+//! be identical. (The plan VM has no twin; `tests/metamorphic.rs` checks
+//! it against itself.)
 
-use proptest::prelude::*;
-use qbs::FragmentStatus;
 use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner};
-use qbs_common::Value;
 use qbs_corpus::populate_universe;
-use qbs_db::{Connection, Database, Params, PlanConfig, QueryOutput};
-use qbs_sql::{parse_query, Dialect, SqlQuery};
-
-fn interpreter() -> PlanConfig {
-    PlanConfig { force_interpreter: true, ..PlanConfig::default() }
-}
-
-/// Execute one query through a VM connection and an interpreter
-/// connection and require identical output — rows AND stats
-/// (`ExecStats` equality covers rows_scanned, join_comparisons, index
-/// usage, plan-cache counters, and sub-query counters; timing fields
-/// are excluded from its `PartialEq`). Each statement executes twice so
-/// the steady-state (plan-cache-hit, program-cache-hit) path is
-/// compared too, not just the first run.
-fn assert_vm_agrees(db: &Database, q: &SqlQuery, params: &Params, label: &str) {
-    let vm_conn = Connection::open(db.clone());
-    let interp_conn = Connection::open_with(db.clone(), interpreter(), Dialect::Generic);
-    let vm_stmt = vm_conn.prepare_query(q);
-    let interp_stmt = interp_conn.prepare_query(q);
-    for round in 0..2 {
-        let vm = vm_conn
-            .execute(&vm_stmt, params)
-            .unwrap_or_else(|e| panic!("{label}: vm execution failed: {e}"));
-        let interp = interp_conn
-            .execute(&interp_stmt, params)
-            .unwrap_or_else(|e| panic!("{label}: interpreter execution failed: {e}"));
-        match (&vm, &interp) {
-            (QueryOutput::Rows(v), QueryOutput::Rows(r)) => {
-                assert_eq!(v.rows, r.rows, "{label} (round {round}): rows diverged");
-                assert_eq!(v.stats, r.stats, "{label} (round {round}): stats diverged");
-            }
-            (
-                QueryOutput::Scalar { value: v, stats: vs },
-                QueryOutput::Scalar { value: r, stats: rs },
-            ) => {
-                assert_eq!(v, r, "{label} (round {round}): scalar diverged");
-                assert_eq!(vs, rs, "{label} (round {round}): stats diverged");
-            }
-            _ => panic!("{label} (round {round}): output shapes diverged"),
-        }
-    }
-}
-
-/// Every translated corpus fragment produces identical rows and counters
-/// under the plan VM and the interpreter, on three differently seeded
-/// databases.
-#[test]
-fn corpus_queries_agree_between_vm_and_interpreter() {
-    let runner = BatchRunner::new(BatchConfig::new());
-    let report = runner.run(&corpus_inputs());
-    let mut translated = 0;
-    for seed in [1, 2, 3] {
-        let db = populate_universe(seed);
-        for fr in &report.fragments {
-            let FragmentStatus::Translated { sql, .. } = &fr.status else { continue };
-            translated += 1;
-            assert_vm_agrees(&db, sql, &Params::new(), &format!("{} (seed {seed})", fr.input));
-        }
-    }
-    assert_eq!(translated, 33 * 3, "the paper's 33 translated fragments, three seeds");
-}
 
 /// Every corpus kernel program runs identically through the kernel
 /// bytecode VM and the interpreter: same final environment, same result
@@ -100,109 +29,4 @@ fn corpus_kernels_agree_between_vm_and_interpreter() {
         }
     }
     assert!(compared >= 33 * 3, "every lowered corpus kernel compared, got {compared}");
-}
-
-/// Filter fields the generator draws WHERE atoms from (mirrors the
-/// columnar equivalence generator so the VM is exercised across the
-/// same shapes: vectorized filters, templates via `:flag`, paging,
-/// DISTINCT, ORDER BY).
-const INT_FIELDS: &[&str] = &["id", "roleId"];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Generated single-table queries over the corpus `users` table —
-    /// predicates, DISTINCT, ORDER BY, LIMIT/OFFSET paging, and bound
-    /// parameters — agree between the plan VM and the interpreter.
-    #[test]
-    fn generated_queries_agree_between_vm_and_interpreter(
-        seed in 1i64..4,
-        field in 0usize..INT_FIELDS.len(),
-        op in 0usize..6,
-        pivot in 0i64..70,
-        bool_atom in 0usize..3,
-        distinct in 0usize..2,
-        order in 0usize..2,
-        desc in 0usize..2,
-        limit in prop::option::of(0i64..10),
-        offset in prop::option::of(0i64..10),
-    ) {
-        let ops = ["=", "<>", "<", "<=", ">", ">="];
-        let mut text = format!(
-            "SELECT id, roleId, enabled FROM users WHERE {} {} {pivot}",
-            INT_FIELDS[field], ops[op]
-        );
-        match bool_atom {
-            1 => text.push_str(" AND enabled = 1"),
-            2 => text.push_str(" AND enabled = :flag"),
-            _ => {}
-        }
-        if order == 1 {
-            text.push_str(" ORDER BY id");
-            if desc == 1 {
-                text.push_str(" DESC");
-            }
-        }
-        if let Some(n) = limit {
-            text.push_str(&format!(" LIMIT {n}"));
-        }
-        if let Some(n) = offset {
-            text.push_str(&format!(" OFFSET {n}"));
-        }
-        let mut q = parse_query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        q.distinct = distinct == 1;
-        let q = SqlQuery::Select(q);
-
-        let mut params = Params::new();
-        params.insert("flag".into(), Value::from(true));
-        let db = populate_universe(seed as u64);
-        assert_vm_agrees(&db, &q, &params, &text);
-    }
-
-    /// Generated grouped queries — one or two group keys, every
-    /// aggregate kind, optional WHERE and HAVING, multi-key ORDER BY
-    /// with per-key direction — agree between the plan VM (its
-    /// `Aggregate` opcode) and the interpreter.
-    #[test]
-    fn generated_grouped_queries_agree_between_vm_and_interpreter(
-        seed in 1i64..4,
-        agg in 0usize..4,
-        two_keys in 0usize..2,
-        filtered in 0usize..2,
-        pivot in 0i64..70,
-        having in 0usize..3,
-        threshold in 0i64..5,
-        order in 0usize..2,
-        desc_a in 0usize..2,
-        desc_b in 0usize..2,
-        limit in prop::option::of(0i64..5),
-    ) {
-        let aggs = ["COUNT(*)", "SUM(id)", "MAX(id)", "MIN(id)"];
-        let keys = if two_keys == 1 { "roleId, enabled" } else { "roleId" };
-        let mut text = format!("SELECT {keys}, {} AS v FROM users", aggs[agg]);
-        if filtered == 1 {
-            text.push_str(&format!(" WHERE id > {pivot}"));
-        }
-        text.push_str(&format!(" GROUP BY {keys}"));
-        match having {
-            1 => text.push_str(&format!(" HAVING COUNT(*) > {threshold}")),
-            2 => text.push_str(&format!(" HAVING SUM(id) > {}", threshold * 40)),
-            _ => {}
-        }
-        if order == 1 {
-            let dir = |d: usize| if d == 1 { "DESC" } else { "ASC" };
-            text.push_str(&format!(" ORDER BY roleId {}", dir(desc_a)));
-            if two_keys == 1 {
-                text.push_str(&format!(", enabled {}", dir(desc_b)));
-            }
-        }
-        if let Some(n) = limit {
-            text.push_str(&format!(" LIMIT {n}"));
-        }
-        let q = parse_query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        let q = SqlQuery::Select(q);
-
-        let db = populate_universe(seed as u64);
-        assert_vm_agrees(&db, &q, &Params::new(), &text);
-    }
 }

@@ -1,296 +1,23 @@
-//! Algebraic equivalences over TOR expressions (paper Thm. 2).
+//! The sound Thm. 2 equivalences, checked where they are applied: each test
+//! builds the nested side of one equivalence and asserts that
+//! [`trans_rel`](crate::trans_rel) lowers it to the flat side, a single
+//! `π(sort(σ(Query)))` over the base table.
 //!
-//! [`normalize`] applies the *sound* subset of the Thm. 2 equivalences as
-//! directed rewrites until fixpoint:
-//!
-//! * `σ_φ2(σ_φ1(r)) = σ_φ1∧φ2(r)` — the symmetry the paper's synthesizer
-//!   breaks (Sec. 4.5): nested selections are never worth enumerating;
+//! * `σ_φ2(σ_φ1(r)) = σ_φ1∧φ2(r)`;
 //! * `π_ℓ2(π_ℓ1(r)) = π_ℓ1∘ℓ2(r)`;
-//! * `σ_φ(π_ℓ(r)) = π_ℓ(σ_φ′(r))` — selections pushed inside projections;
-//! * `σ_φ(sort_ℓ(r)) = sort_ℓ(σ_φ(r))` — selections pushed inside sorts
-//!   (sound because both sides preserve the relative order of survivors);
+//! * `σ_φ(π_ℓ(r)) = π_ℓ(σ_φ′(r))`, with `φ′` resolved against the base;
+//! * `σ_φ(sort_ℓ(r)) = sort_ℓ(σ_φ(r))`;
 //! * `top_e2(top_e1(r)) = top_min(e1,e2)(r)` for constant counts.
 //!
-//! The equivalence `top_e(σ_φ(r)) = σ_φ(top_e(r))` printed in the paper's
-//! Thm. 2 is **not** sound for ordered lists and is deliberately omitted; see
-//! `crate::trans` for how selections over limits are kept nested instead.
-
-use crate::expr::TorExpr;
-use crate::pred::{Operand, Pred, PredAtom, Probe};
-use crate::ty::{infer_type, TorType, TypeEnv};
-use qbs_common::{FieldRef, Value};
-
-/// Remaps the field references of `pred` (resolved against the output of
-/// `π_fields`) into references against the projection input.
-fn remap_pred(pred: &Pred, fields: &[FieldRef], out: &qbs_common::SchemaRef) -> Option<Pred> {
-    let mut atoms = Vec::with_capacity(pred.atoms().len());
-    for a in pred.atoms() {
-        let remap = |fr: &FieldRef| -> Option<FieldRef> {
-            out.index_of(fr).ok().map(|i| fields[i].clone())
-        };
-        match a {
-            PredAtom::Cmp { lhs, op, rhs } => {
-                let lhs = remap(lhs)?;
-                let rhs = match rhs {
-                    Operand::Field(fr) => Operand::Field(remap(fr)?),
-                    other => other.clone(),
-                };
-                atoms.push(PredAtom::Cmp { lhs, op: *op, rhs });
-            }
-            PredAtom::Contains { probe, rel } => {
-                let probe = match probe {
-                    Probe::Field(fr) => Probe::Field(remap(fr)?),
-                    Probe::Record => return None, // record probe is tied to the projected shape
-                };
-                atoms.push(PredAtom::Contains { probe, rel: rel.clone() });
-            }
-        }
-    }
-    Some(Pred::new(atoms))
-}
-
-/// Remaps a predicate over a `Group` output into one over the group input,
-/// when every atom references only *key* columns. `σ_φ(group[spec](r)) =
-/// group[spec](σ_φ′(r))` is sound exactly then: filtering groups by key
-/// equals filtering input rows by key — surviving groups keep their contents
-/// and their first-occurrence order.
-fn remap_group_pred(pred: &Pred, spec: &crate::expr::GroupSpec) -> Option<Pred> {
-    let key_src = |fr: &FieldRef| -> Option<FieldRef> {
-        spec.keys.iter().find(|(n, _)| n.as_str() == fr.name.as_str()).map(|(_, s)| s.clone())
-    };
-    let mut atoms = Vec::with_capacity(pred.atoms().len());
-    for a in pred.atoms() {
-        match a {
-            PredAtom::Cmp { lhs, op, rhs } => {
-                let lhs = key_src(lhs)?;
-                let rhs = match rhs {
-                    Operand::Field(fr) => Operand::Field(key_src(fr)?),
-                    other => other.clone(),
-                };
-                atoms.push(PredAtom::Cmp { lhs, op: *op, rhs });
-            }
-            // A record probe spans the aggregate column; a field probe could
-            // be remapped, but `contains` against the grouped output is rare
-            // enough not to bother.
-            PredAtom::Contains { .. } => return None,
-        }
-    }
-    Some(Pred::new(atoms))
-}
-
-fn rewrite_once(e: &TorExpr, tenv: &TypeEnv) -> Option<TorExpr> {
-    match e {
-        // σ_φ2(σ_φ1(r)) → σ_φ1∧φ2(r)
-        TorExpr::Select(p2, inner) => match &**inner {
-            TorExpr::Select(p1, r) => {
-                Some(TorExpr::select(p1.clone().and_pred(p2), (**r).clone()))
-            }
-            // σ_φ(group[spec](r)) → group[spec](σ_φ′(r)) for key-only φ
-            TorExpr::Group(spec, r) => {
-                let p = remap_group_pred(p2, spec)?;
-                Some(TorExpr::group(spec.clone(), TorExpr::select(p, (**r).clone())))
-            }
-            // σ_φ(π_ℓ(r)) → π_ℓ(σ_φ′(r))
-            TorExpr::Proj(fields, r) => {
-                let elem = match infer_type(r, tenv).ok()? {
-                    TorType::Rel(s) => s,
-                    _ => return None,
-                };
-                let out = elem.project(fields).ok()?.into_ref();
-                let p = remap_pred(p2, fields, &out)?;
-                Some(TorExpr::proj(fields.clone(), TorExpr::select(p, (**r).clone())))
-            }
-            // σ_φ(sort_ℓ(r)) → sort_ℓ(σ_φ(r))
-            TorExpr::Sort(fields, r) => {
-                Some(TorExpr::sort(fields.clone(), TorExpr::select(p2.clone(), (**r).clone())))
-            }
-            _ => None,
-        },
-        // π_ℓ2(π_ℓ1(r)) → π_ℓ1∘ℓ2(r)
-        TorExpr::Proj(l2, inner) => match &**inner {
-            TorExpr::Proj(l1, r) => {
-                let elem = match infer_type(r, tenv).ok()? {
-                    TorType::Rel(s) => s,
-                    _ => return None,
-                };
-                let mid = elem.project(l1).ok()?.into_ref();
-                let mut composed = Vec::with_capacity(l2.len());
-                for f in l2 {
-                    composed.push(l1[mid.index_of(f).ok()?].clone());
-                }
-                Some(TorExpr::proj(composed, (**r).clone()))
-            }
-            _ => None,
-        },
-        // top_e2(top_e1(r)) → top_min(e1,e2)(r) for constants
-        TorExpr::Top(inner, e2) => match &**inner {
-            TorExpr::Top(r, e1) => match (&**e1, &**e2) {
-                (TorExpr::Const(Value::Int(a)), TorExpr::Const(Value::Int(b))) => {
-                    Some(TorExpr::top((**r).clone(), TorExpr::int((*a).min(*b))))
-                }
-                _ => None,
-            },
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Rebuilds `e` with `f` applied to each immediate child, returning `None`
-/// when no child changed.
-fn map_children(e: &TorExpr, tenv: &TypeEnv) -> Option<TorExpr> {
-    use TorExpr::*;
-    let rec = |x: &TorExpr| normalize_inner(x, tenv);
-    match e {
-        Const(_) | EmptyList | Var(_) | Query(_) => None,
-        Field(x, f) => rec(x).map(|x| TorExpr::Field(Box::new(x), f.clone())),
-        Not(x) => rec(x).map(|x| Not(Box::new(x))),
-        Size(x) => rec(x).map(|x| Size(Box::new(x))),
-        Proj(l, x) => rec(x).map(|x| Proj(l.clone(), Box::new(x))),
-        Select(p, x) => rec(x).map(|x| Select(p.clone(), Box::new(x))),
-        Agg(k, x) => rec(x).map(|x| Agg(*k, Box::new(x))),
-        Sort(l, x) => rec(x).map(|x| Sort(l.clone(), Box::new(x))),
-        Unique(x) => rec(x).map(|x| Unique(Box::new(x))),
-        Binary(op, a, b) => {
-            let (na, nb) = (rec(a), rec(b));
-            if na.is_none() && nb.is_none() {
-                return None;
-            }
-            Some(Binary(
-                *op,
-                Box::new(na.unwrap_or_else(|| (**a).clone())),
-                Box::new(nb.unwrap_or_else(|| (**b).clone())),
-            ))
-        }
-        Get(a, b) => two(a, b, tenv, |a, b| Get(Box::new(a), Box::new(b))),
-        Top(a, b) => two(a, b, tenv, |a, b| Top(Box::new(a), Box::new(b))),
-        Join(p, a, b) => {
-            let p = p.clone();
-            two(a, b, tenv, move |a, b| Join(p.clone(), Box::new(a), Box::new(b)))
-        }
-        Append(a, b) => two(a, b, tenv, |a, b| Append(Box::new(a), Box::new(b))),
-        Concat(a, b) => two(a, b, tenv, |a, b| Concat(Box::new(a), Box::new(b))),
-        Contains(a, b) => two(a, b, tenv, |a, b| Contains(Box::new(a), Box::new(b))),
-        RecLit(fields) => {
-            let mut changed = false;
-            let mut out = Vec::with_capacity(fields.len());
-            for (n, e) in fields {
-                match rec(e) {
-                    Some(ne) => {
-                        changed = true;
-                        out.push((n.clone(), ne));
-                    }
-                    None => out.push((n.clone(), e.clone())),
-                }
-            }
-            changed.then_some(RecLit(out))
-        }
-        Group(spec, x) => rec(x).map(|x| Group(spec.clone(), Box::new(x))),
-        MapGet { map, keys, val_field, default } => {
-            let (nm, nk, nd) = (rec(map), map_keys(keys, tenv), rec(default));
-            if nm.is_none() && nk.is_none() && nd.is_none() {
-                return None;
-            }
-            Some(MapGet {
-                map: Box::new(nm.unwrap_or_else(|| (**map).clone())),
-                keys: nk.unwrap_or_else(|| keys.clone()),
-                val_field: val_field.clone(),
-                default: Box::new(nd.unwrap_or_else(|| (**default).clone())),
-            })
-        }
-        MapPut { map, keys, val_field, val } => {
-            let (nm, nk, nv) = (rec(map), map_keys(keys, tenv), rec(val));
-            if nm.is_none() && nk.is_none() && nv.is_none() {
-                return None;
-            }
-            Some(MapPut {
-                map: Box::new(nm.unwrap_or_else(|| (**map).clone())),
-                keys: nk.unwrap_or_else(|| keys.clone()),
-                val_field: val_field.clone(),
-                val: Box::new(nv.unwrap_or_else(|| (**val).clone())),
-            })
-        }
-    }
-}
-
-/// Normalizes the probe expressions of a `MapGet`/`MapPut` key list.
-fn map_keys(
-    keys: &[(qbs_common::Ident, TorExpr)],
-    tenv: &TypeEnv,
-) -> Option<Vec<(qbs_common::Ident, TorExpr)>> {
-    let mut changed = false;
-    let mut out = Vec::with_capacity(keys.len());
-    for (n, e) in keys {
-        match normalize_inner(e, tenv) {
-            Some(ne) => {
-                changed = true;
-                out.push((n.clone(), ne));
-            }
-            None => out.push((n.clone(), e.clone())),
-        }
-    }
-    changed.then_some(out)
-}
-
-fn two(
-    a: &TorExpr,
-    b: &TorExpr,
-    tenv: &TypeEnv,
-    build: impl Fn(TorExpr, TorExpr) -> TorExpr,
-) -> Option<TorExpr> {
-    let (na, nb) = (normalize_inner(a, tenv), normalize_inner(b, tenv));
-    if na.is_none() && nb.is_none() {
-        return None;
-    }
-    Some(build(na.unwrap_or_else(|| a.clone()), nb.unwrap_or_else(|| b.clone())))
-}
-
-fn normalize_inner(e: &TorExpr, tenv: &TypeEnv) -> Option<TorExpr> {
-    let mut cur = e.clone();
-    let mut changed = false;
-    loop {
-        if let Some(next) = map_children(&cur, tenv) {
-            cur = next;
-            changed = true;
-            continue;
-        }
-        if let Some(next) = rewrite_once(&cur, tenv) {
-            cur = next;
-            changed = true;
-            continue;
-        }
-        break;
-    }
-    changed.then_some(cur)
-}
-
-/// Applies the Thm. 2 equivalences as directed rewrites until fixpoint.
-///
-/// The result is semantically equal to the input under [`crate::eval`]
-/// (checked by the property tests in this crate).
-///
-/// # Example
-///
-/// ```
-/// use qbs_common::{Schema, FieldType};
-/// use qbs_tor::{normalize, CmpOp, Operand, Pred, QuerySpec, TorExpr, TypeEnv};
-///
-/// let s = Schema::builder("t").field("a", FieldType::Int).finish();
-/// let q = TorExpr::Query(QuerySpec::table_scan("t", s));
-/// let p1 = Pred::truth().and_cmp("a".into(), CmpOp::Gt, Operand::Const(0.into()));
-/// let p2 = Pred::truth().and_cmp("a".into(), CmpOp::Lt, Operand::Const(9.into()));
-/// let nested = TorExpr::select(p2, TorExpr::select(p1, q));
-/// let flat = normalize(&nested, &TypeEnv::new());
-/// assert!(matches!(flat, TorExpr::Select(p, _) if p.atoms().len() == 2));
-/// ```
-pub fn normalize(e: &TorExpr, tenv: &TypeEnv) -> TorExpr {
-    normalize_inner(e, tenv).unwrap_or_else(|| e.clone())
-}
+//! The printed `top_e(σ_φ(r)) = σ_φ(top_e(r))` is unsound and not applied;
+//! `trans::tests::select_over_top_keeps_filter_outside_limit` covers it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::expr::{CmpOp, QuerySpec};
+    use crate::expr::{CmpOp, QuerySpec, TorExpr};
+    use crate::pred::{Operand, Pred};
+    use crate::trans::{trans_rel, BaseExpr, PosAtom, PosOperand, SortedExpr, TransExpr};
+    use crate::ty::TypeEnv;
     use qbs_common::{FieldType, Schema, SchemaRef};
 
     fn t_schema() -> SchemaRef {
@@ -305,71 +32,90 @@ mod tests {
         Pred::truth().and_cmp("a".into(), op, Operand::Const(c.into()))
     }
 
-    #[test]
-    fn nested_selects_fuse() {
-        let e = TorExpr::select(pa(CmpOp::Lt, 9), TorExpr::select(pa(CmpOp::Gt, 0), q()));
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Select(p, inner) => {
-                assert_eq!(p.atoms().len(), 2);
-                assert!(matches!(*inner, TorExpr::Query(_)));
+    /// `a op c` against base column 0 (`t.a`).
+    fn on_a(op: CmpOp, c: i64) -> PosAtom {
+        PosAtom::Cmp { lhs: 0, op, rhs: PosOperand::Const(c.into()) }
+    }
+
+    /// Lowers `e`, which must translate to a single sorted expression
+    /// directly over the table scan.
+    fn flat(e: &TorExpr) -> SortedExpr {
+        match trans_rel(e, &TypeEnv::new()).unwrap() {
+            TransExpr::Sorted(s) => {
+                assert!(matches!(s.base, BaseExpr::Query(_)), "nested base in {e}");
+                s
             }
-            other => panic!("unexpected {other}"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
+    fn nested_selects_fuse() {
+        let e = TorExpr::select(pa(CmpOp::Lt, 9), TorExpr::select(pa(CmpOp::Gt, 0), q()));
+        let s = flat(&e);
+        assert_eq!(s.filter, vec![on_a(CmpOp::Gt, 0), on_a(CmpOp::Lt, 9)]);
+        assert_eq!(s.proj, vec![0, 1]);
+    }
+
+    #[test]
     fn select_pushes_through_projection() {
-        let e = TorExpr::select(pa(CmpOp::Gt, 0), TorExpr::proj(vec!["a".into()], q()));
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Proj(fields, inner) => {
-                assert_eq!(fields.len(), 1);
-                assert!(matches!(*inner, TorExpr::Select(..)));
-            }
-            other => panic!("unexpected {other}"),
-        }
+        // `a` is column 1 of π_[b,a] but column 0 of the base.
+        let e =
+            TorExpr::select(pa(CmpOp::Gt, 0), TorExpr::proj(vec!["b".into(), "a".into()], q()));
+        let s = flat(&e);
+        assert_eq!(s.proj, vec![1, 0]);
+        assert_eq!(s.filter, vec![on_a(CmpOp::Gt, 0)]);
     }
 
     #[test]
     fn projections_compose() {
         let e =
             TorExpr::proj(vec!["a".into()], TorExpr::proj(vec!["b".into(), "a".into()], q()));
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Proj(fields, inner) => {
-                assert_eq!(fields, vec![FieldRef::from("a")]);
-                assert!(matches!(*inner, TorExpr::Query(_)));
-            }
-            other => panic!("unexpected {other}"),
-        }
+        let s = flat(&e);
+        assert_eq!(s.proj, vec![0]);
+        assert!(s.filter.is_empty() && s.sort.is_empty());
     }
 
     #[test]
     fn tops_fuse_to_min() {
         let e = TorExpr::top(TorExpr::top(q(), TorExpr::int(7)), TorExpr::int(3));
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Top(_, e) => assert_eq!(*e, TorExpr::int(3)),
-            other => panic!("unexpected {other}"),
+        match trans_rel(&e, &TypeEnv::new()).unwrap() {
+            TransExpr::Top(s, n) => {
+                assert_eq!(*n, TorExpr::int(3));
+                assert!(matches!(s.base, BaseExpr::Query(_)), "inner top must not nest");
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn select_pushes_through_sort() {
         let e = TorExpr::select(pa(CmpOp::Gt, 0), TorExpr::sort(vec!["b".into()], q()));
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Sort(_, inner) => assert!(matches!(*inner, TorExpr::Select(..))),
-            other => panic!("unexpected {other}"),
-        }
+        let s = flat(&e);
+        assert_eq!(s.sort, vec![1]);
+        assert_eq!(s.filter, vec![on_a(CmpOp::Gt, 0)]);
     }
 
     #[test]
     fn deep_rewrites_reach_fixpoint() {
-        // σ(σ(σ(q))) fuses to a single selection with three conjuncts.
-        let e = TorExpr::select(
-            pa(CmpOp::Lt, 9),
-            TorExpr::select(pa(CmpOp::Gt, 0), TorExpr::select(pa(CmpOp::Ne, 5), q())),
+        // π_[a](σ(π_[b,a](σ(sort_[b](σ(q)))))) lowers to one flat
+        // π(sort(σ(q))) with three conjuncts.
+        let e = TorExpr::proj(
+            vec!["a".into()],
+            TorExpr::select(
+                pa(CmpOp::Lt, 9),
+                TorExpr::proj(
+                    vec!["b".into(), "a".into()],
+                    TorExpr::select(
+                        pa(CmpOp::Ne, 5),
+                        TorExpr::sort(vec!["b".into()], TorExpr::select(pa(CmpOp::Gt, 0), q())),
+                    ),
+                ),
+            ),
         );
-        match normalize(&e, &TypeEnv::new()) {
-            TorExpr::Select(p, _) => assert_eq!(p.atoms().len(), 3),
-            other => panic!("unexpected {other}"),
-        }
+        let s = flat(&e);
+        assert_eq!(s.proj, vec![0]);
+        assert_eq!(s.sort, vec![1]);
+        assert_eq!(s.filter, vec![on_a(CmpOp::Gt, 0), on_a(CmpOp::Ne, 5), on_a(CmpOp::Lt, 9)]);
     }
 }

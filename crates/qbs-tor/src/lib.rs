@@ -35,6 +35,8 @@
 //! ```
 
 mod env;
+#[cfg(test)]
+mod equiv;
 mod eval;
 mod expr;
 mod pred;
